@@ -9,12 +9,12 @@ from .freqfit import fit_additive, fit_interaction, frequentist_fit
 from .gibbs import PosteriorDraws, full_conditional, gibbs_fit, rhat_table, summarize
 from .model import (Dataset, Hyperparams, ModelConfig, ThetaPoint, cell_counts,
                     default_hyperparams, load_csv, load_theta_csv, mean_matrix,
-                    model_mean, write_csv, write_theta_csv)
-from .simulate import SimScenario, scenario_grid, simulate
+                    model_mean, post_process, write_csv, write_theta_csv)
+from .simulate import SimScenario, scenario_grid
 from .statsmath import (ChainSet, TruncNormalParams, gelman_rubin,
                         orthonormalize_interaction, sample_trunc_normal,
                         trunc_normal_moments)
 from .vi import (ExpectationCache, FitResult, VariationalState, elbo, fit,
-                 init_state, post_process, posterior_mean_theta)
+                 init_state, posterior_mean_theta)
 
 __version__ = "0.1.0"

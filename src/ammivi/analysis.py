@@ -1,14 +1,16 @@
-"""Predictions, error metrics, heatmap exports and VI-vs-MCMC comparison."""
+"""Predictions, error metrics, heatmap exports, VI-vs-MCMC comparison and timing."""
 
 from __future__ import annotations
 
-import csv
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import gibbs, simulate, vi
+from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import Dataset, mean_matrix
+from .model import Dataset, ModelConfig, default_hyperparams, mean_matrix, write_rows
 from .statsmath import TruncNormalParams, sample_trunc_normal
 from .vi import FitResult
 
@@ -66,6 +68,8 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
     MCMC reuses the stored posterior draws (subsampled to n_draws).
     With include_noise, Normal observation noise is added per draw.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     I, J = dataset.n_genotypes, dataset.n_environments
     rng = np.random.default_rng(seed)
     if isinstance(fit, FitResult):
@@ -109,28 +113,16 @@ def in_sample_rmse(theta, dataset: Dataset) -> float:
     return rmse(fitted, dataset.y)
 
 
-def _write_matrix(path, matrix, row_labels, col_labels, fmt):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["genotype"] + list(col_labels))
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([label] + [fmt(v) for v in row])
-
-
 def export_heatmap(summary: PredictiveSummary, dataset: Dataset, prefix) -> list[str]:
     """Write q05/q50/q95 matrices plus the observed-cell mask as CSV files."""
-    prefix = str(prefix)
     paths = []
-    for tag, matrix in (("q05", summary.q05), ("q50", summary.q50), ("q95", summary.q95)):
+    for tag, matrix in (("q05", summary.q05), ("q50", summary.q50), ("q95", summary.q95),
+                        ("observed", summary.observed.astype(int))):
         path = f"{prefix}_{tag}.csv"
-        _write_matrix(path, matrix, dataset.genotype_labels,
-                      dataset.environment_labels, lambda v: f"{v:.12g}")
+        write_rows(path, ["genotype", *dataset.environment_labels],
+                   ([label, *row] for label, row in
+                    zip(dataset.genotype_labels, matrix.tolist())))
         paths.append(path)
-    mask_path = f"{prefix}_observed.csv"
-    _write_matrix(mask_path, summary.observed.astype(int),
-                  dataset.genotype_labels, dataset.environment_labels,
-                  lambda v: str(int(v)))
-    paths.append(mask_path)
     return paths
 
 
@@ -151,12 +143,8 @@ class ComparisonReport:
         return max(gaps) if gaps else 0.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "vi_mean", "mcmc_mean", "vi_sd", "mcmc_sd",
-                             "abs_gap"])
-            for row in self.rows:
-                writer.writerow([row[0]] + [f"{v:.12g}" for v in row[1:]])
+        write_rows(path, ["parameter", "vi_mean", "mcmc_mean", "vi_sd", "mcmc_sd",
+                          "abs_gap"], self.rows)
 
     def to_text(self) -> str:
         lines = [
@@ -205,3 +193,28 @@ def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> Comparison
         vi_rmse=in_sample_rmse(theta_vi, dataset),
         mcmc_rmse=in_sample_rmse(posterior_mean_theta(mcmc), dataset),
         vi_time=vi.wall_time, mcmc_time=mcmc.wall_time)
+
+
+def benchmark_rows(group: str, q_values=(1, 2), smoke: bool = False, seed: int = 0):
+    """Timing rows (name, I, J, Q, n, vi_time, mcmc_time, ratio) for one size group."""
+    n_iter, n_burn = (100, 25) if smoke else (6000, 1000)
+    rows = []
+    for scenario in simulate.scenario_grid():
+        if not scenario.name.startswith(f"bench-{group}-"):
+            continue
+        if scenario.Q not in q_values:
+            continue
+        dataset, _ = simulate.simulate(simulate.with_seed(scenario, scenario.seed + seed))
+        config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset),
+                             seed=seed)
+        init = frequentist_fit(dataset, config.Q)
+        t0 = time.perf_counter()
+        vi.fit(dataset, config, init)
+        vi_time = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        gibbs.gibbs_fit(dataset, config, n_chains=4, n_iter=n_iter, n_burn=n_burn,
+                        init=init)
+        mcmc_time = time.perf_counter() - t0
+        rows.append((scenario.name, scenario.I, scenario.J, scenario.Q,
+                     dataset.n_obs, vi_time, mcmc_time, mcmc_time / vi_time))
+    return rows

@@ -7,21 +7,15 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 divergence,
 from __future__ import annotations
 
 import argparse
-import csv
-import importlib
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, gibbs, vi
-# The package re-exports the simulate() function, shadowing the submodule
-# attribute, so resolve the module itself explicitly.
-_simmod = importlib.import_module("ammivi.simulate")
+from . import analysis, gibbs, simulate, vi
 from .freqfit import frequentist_fit
-from .model import (Dataset, Hyperparams, ModelConfig, ValidationError,
-                    default_hyperparams, load_csv, load_theta_csv, write_csv,
+from .model import (Hyperparams, ModelConfig, ValidationError, default_hyperparams,
+                    load_csv, load_theta_csv, mean_matrix, write_csv, write_rows,
                     write_theta_csv)
 
 EXIT_VALIDATION = 2
@@ -72,83 +66,45 @@ def _initial_theta(args, dataset, config):
             raise ValidationError("--init file requires --init-file")
         return load_theta_csv(args.init_file)
     if mode == "mcmc-short":
-        return mcmc_short_init(dataset, config)
+        return gibbs.mcmc_short_init(dataset, config)
     raise ValidationError(f"unknown init mode {mode!r}")
 
 
-def subsample_dataset(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Random cell subsample that keeps every row and column nonempty."""
-    n_keep = max(int(round(fraction * dataset.n_obs)), 1)
-    for attempt in range(500):
-        rng = np.random.default_rng([seed, attempt])
-        pick = np.sort(rng.choice(dataset.n_obs, size=n_keep, replace=False))
-        try:
-            return Dataset(rows=dataset.rows[pick], cols=dataset.cols[pick],
-                           y=dataset.y[pick],
-                           n_genotypes=dataset.n_genotypes,
-                           n_environments=dataset.n_environments,
-                           genotype_labels=dataset.genotype_labels,
-                           environment_labels=dataset.environment_labels)
-        except ValidationError:
-            continue
-    raise ValidationError("could not subsample without emptying a row or column")
-
-
-def mcmc_short_init(dataset: Dataset, config: ModelConfig, fraction: float = 0.25,
-                    n_iter: int = 500, n_burn: int = 100):
-    """Initialization from a short Gibbs run on a 25% cell subsample."""
-    sub = subsample_dataset(dataset, fraction, config.seed)
-    draws = gibbs.gibbs_fit(sub, config, n_chains=1, n_iter=n_iter, n_burn=n_burn)
-    return gibbs.posterior_mean_theta(draws)
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_state_csv(state: vi.VariationalState, path):
-    rows = [("mu", "", "", repr(state.mu_q_mu), repr(state.Sigma_q_mu))]
-    for i in range(state.mu_q_g.size):
-        rows.append(("g", i + 1, "", repr(float(state.mu_q_g[i])),
-                     repr(float(state.Sigma_q_g[i]))))
-    for j in range(state.mu_q_e.size):
-        rows.append(("e", j + 1, "", repr(float(state.mu_q_e[j])),
-                     repr(float(state.Sigma_q_e[j]))))
+def _state_rows(state: vi.VariationalState):
+    rows = [("mu", "", "", state.mu_q_mu, state.Sigma_q_mu)]
+    rows += [("g", i + 1, "", m, v) for i, (m, v) in
+             enumerate(zip(state.mu_q_g, state.Sigma_q_g))]
+    rows += [("e", j + 1, "", m, v) for j, (m, v) in
+             enumerate(zip(state.mu_q_e, state.Sigma_q_e))]
     for q in range(state.n_components):
-        rows.append(("lambda", q + 1, "", repr(float(state.mu_q_lambda[q])),
-                     repr(float(state.Sigma_q_lambda[q]))))
-        for i in range(state.mu_q_gamma.shape[0]):
-            rows.append(("gamma", i + 1, q + 1, repr(float(state.mu_q_gamma[i, q])),
-                         repr(float(state.Sigma_q_gamma[i, q]))))
-        for j in range(state.mu_q_delta.shape[0]):
-            rows.append(("delta", j + 1, q + 1, repr(float(state.mu_q_delta[j, q])),
-                         repr(float(state.Sigma_q_delta[j, q]))))
-    rows.append(("tau_shape", "", "", repr(state.a_q), ""))
-    rows.append(("tau_rate", "", "", repr(state.b_q), ""))
-    _write_rows(path, ["parameter", "index1", "index2", "mean", "variance"], rows)
+        rows.append(("lambda", q + 1, "", state.mu_q_lambda[q], state.Sigma_q_lambda[q]))
+        rows += [("gamma", i + 1, q + 1, m, v) for i, (m, v) in
+                 enumerate(zip(state.mu_q_gamma[:, q], state.Sigma_q_gamma[:, q]))]
+        rows += [("delta", j + 1, q + 1, m, v) for j, (m, v) in
+                 enumerate(zip(state.mu_q_delta[:, q], state.Sigma_q_delta[:, q]))]
+    rows.append(("tau_shape", "", "", state.a_q, ""))
+    rows.append(("tau_rate", "", "", state.b_q, ""))
+    return rows
 
 
-def _scenario_from_args(args) -> _simmod.SimScenario:
+def _scenario_from_args(args) -> simulate.SimScenario:
     if args.scenario:
-        scenario = _simmod.scenario_by_name(args.scenario)
-        return _simmod.with_seed(scenario, args.seed) if args.seed is not None else scenario
+        scenario = simulate.scenario_by_name(args.scenario)
+        return simulate.with_seed(scenario, args.seed) if args.seed is not None else scenario
     if args.i is None or args.j is None:
         raise ValidationError("either --scenario or --i/--j/--lambda are required")
     lam = tuple(float(v) for v in args.lam.split(",")) if args.lam else ()
-    return _simmod.SimScenario(I=args.i, J=args.j, Q=len(lam), lambda_true=lam,
-                           sigma2_g=args.sigma2_g, sigma2_e=args.sigma2_e,
-                           sigma2_y=args.sigma2_y, mu_mean=args.mu_mean,
-                           seed=args.seed if args.seed is not None else 0,
-                           missing_fraction=args.missing, name="custom")
+    return simulate.SimScenario(I=args.i, J=args.j, Q=len(lam), lambda_true=lam,
+                               sigma2_g=args.sigma2_g, sigma2_e=args.sigma2_e,
+                               sigma2_y=args.sigma2_y, mu_mean=args.mu_mean,
+                               seed=args.seed if args.seed is not None else 0,
+                               missing_fraction=args.missing, name="custom")
 
 
 def run_simulate(args) -> int:
     out = _outdir(args)
     scenario = _scenario_from_args(args)
-    dataset, truth = _simmod.simulate(scenario)
+    dataset, truth = simulate.simulate(scenario)
     write_csv(dataset, out / "data.csv")
     write_theta_csv(truth, out / "truth.csv")
     print(f"wrote {out / 'data.csv'} ({dataset.n_obs} observations) and truth.csv")
@@ -175,13 +131,12 @@ def run_fit_vi(args) -> int:
     result, _ = _fit_vi(args, dataset)
     out = _outdir(args)
     write_theta_csv(result.theta, out / "theta.csv")
-    _write_state_csv(result.state, out / "vi_state.csv")
-    _write_rows(out / "elbo_trace.csv", ["iteration", "elbo"],
-                [(k, repr(float(v))) for k, v in enumerate(result.elbo_trace)])
-    _write_rows(out / "fit_summary.csv", ["key", "value"],
-                [("converged", int(result.converged)), ("n_iter", result.n_iter),
-                 ("wall_time", f"{result.wall_time:.6f}"),
-                 ("final_elbo", repr(float(result.elbo_trace[-1])))])
+    write_rows(out / "vi_state.csv", ["parameter", "index1", "index2", "mean", "variance"],
+               _state_rows(result.state))
+    write_rows(out / "elbo_trace.csv", ["iteration", "elbo"], enumerate(result.elbo_trace))
+    write_rows(out / "fit_summary.csv", ["key", "value"],
+               [("converged", int(result.converged)), ("n_iter", result.n_iter),
+                ("wall_time", result.wall_time), ("final_elbo", result.elbo_trace[-1])])
     print(f"converged={result.converged} n_iter={result.n_iter} "
           f"elbo={result.elbo_trace[-1]:.4f}")
     return 0
@@ -195,40 +150,29 @@ def run_fit_mcmc(args) -> int:
     out = _outdir(args)
     summary = gibbs.summarize(draws)
     rows = []
-
-    def emit(name, i1, i2, stats, k=None):
-        sel = (lambda a: a if k is None else a[k])
-        rows.append((name, i1, i2, *(repr(float(sel(np.atleast_1d(stats[s]))))
-                                     for s in ("mean", "q05", "q50", "q95"))))
-
-    emit("mu", "", "", {s: summary["mu"][s] for s in ("mean", "q05", "q50", "q95")}, 0)
-    for i in range(dataset.n_genotypes):
-        emit("g", i + 1, "", summary["g"], i)
-    for j in range(dataset.n_environments):
-        emit("e", j + 1, "", summary["e"], j)
-    for q in range(config.Q):
-        emit("lambda", q + 1, "", summary["lam"], q)
-    emit("sigma2", "", "", summary["sigma2"], 0)
-    _write_rows(out / "mcmc_summary.csv",
-                ["parameter", "index1", "index2", "mean", "q05", "q50", "q95"], rows)
+    for name, label in (("mu", "mu"), ("g", "g"), ("e", "e"), ("lam", "lambda"),
+                        ("sigma2", "sigma2")):
+        stats = np.column_stack([np.atleast_1d(summary[name][s])
+                                 for s in ("mean", "q05", "q50", "q95")])
+        scalar = name in ("mu", "sigma2")
+        rows += [(label, "" if scalar else k + 1, "", *values)
+                 for k, values in enumerate(stats)]
+    write_rows(out / "mcmc_summary.csv",
+               ["parameter", "index1", "index2", "mean", "q05", "q50", "q95"], rows)
 
     write_theta_csv(gibbs.posterior_mean_theta(draws), out / "theta.csv")
     if draws.n_chains >= 2:
-        rhat = gibbs.rhat_table(draws)
-        rhat_rows = [("mu", "", f"{float(rhat['mu']):.6f}"),
-                     ("sigma2", "", f"{float(rhat['sigma2']):.6f}")]
-        for name in ("g", "e", "lam"):
-            for k, v in enumerate(rhat[name]):
-                rhat_rows.append((name, k + 1, f"{v:.6f}"))
-        _write_rows(out / "rhat.csv", ["parameter", "index", "rhat"], rhat_rows)
+        rhat_rows = []
+        for name, values in gibbs.rhat_table(draws).items():
+            if values.ndim:
+                rhat_rows += [(name, k + 1, v) for k, v in enumerate(values)]
+            else:
+                rhat_rows.append((name, "", float(values)))
+        write_rows(out / "rhat.csv", ["parameter", "index", "rhat"], rhat_rows)
     if args.save_draws:
-        flat_rows = []
-        for c in range(draws.n_chains):
-            for t in range(draws.n_iter):
-                flat_rows.append((c + 1, t + 1, repr(float(draws.mu[c, t])),
-                                  repr(float(draws.sigma2[c, t]))))
-        _write_rows(out / "draws_scalar.csv", ["chain", "iteration", "mu", "sigma2"],
-                    flat_rows)
+        write_rows(out / "draws_scalar.csv", ["chain", "iteration", "mu", "sigma2"],
+                   ((c + 1, t + 1, draws.mu[c, t], draws.sigma2[c, t])
+                    for c in range(draws.n_chains) for t in range(draws.n_iter)))
     print(f"wrote {out / 'mcmc_summary.csv'} ({draws.n_chains} chains x {draws.n_iter})")
     return 0
 
@@ -264,20 +208,19 @@ def run_compare(args) -> int:
 
 
 def run_init_study(args) -> int:
-    scenario = _simmod.scenario_by_name(args.scenario)
+    scenario = simulate.scenario_by_name(args.scenario)
     out = _outdir(args)
     rows = []
-    from .model import mean_matrix
     for seed_offset in range(args.n_seeds):
         seed = args.seed + seed_offset
-        dataset, truth = _simmod.simulate(_simmod.with_seed(scenario, seed))
+        dataset, truth = simulate.simulate(simulate.with_seed(scenario, seed))
         truth_cells = mean_matrix(truth)[dataset.rows, dataset.cols]
         config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset),
                              max_iter=args.max_iter, tol=args.tol, seed=seed)
         inits = {
             "random": vi.random_theta(dataset, config.Q, np.random.default_rng(seed)),
             "freq": frequentist_fit(dataset, config.Q),
-            "mcmc-short": mcmc_short_init(dataset, config),
+            "mcmc-short": gibbs.mcmc_short_init(dataset, config),
         }
         for mode, init in inits.items():
             trace = []
@@ -289,47 +232,20 @@ def run_init_study(args) -> int:
                               analysis.rmse(fitted, truth_cells)))
 
             vi.fit(dataset, config, init, callback=record)
-            for sweep, r_obs, r_truth in trace:
-                rows.append((seed, mode, sweep, f"{r_obs:.8f}", f"{r_truth:.8f}"))
-    _write_rows(out / "init_study.csv",
-                ["seed", "init", "iteration", "rmse_observed", "rmse_truth"], rows)
+            rows += [(seed, mode, *entry) for entry in trace]
+    write_rows(out / "init_study.csv",
+               ["seed", "init", "iteration", "rmse_observed", "rmse_truth"], rows)
     print(f"wrote {out / 'init_study.csv'}")
     return 0
 
 
-def benchmark_rows(group: str, q_values=(1, 2), smoke: bool = False, seed: int = 0):
-    """Timing rows (name, I, J, Q, n, vi_time, mcmc_time, ratio) for one size group."""
-    n_iter, n_burn = (100, 25) if smoke else (6000, 1000)
-    rows = []
-    for scenario in _simmod.scenario_grid():
-        if not scenario.name.startswith(f"bench-{group}-"):
-            continue
-        if scenario.Q not in q_values:
-            continue
-        dataset, _ = _simmod.simulate(_simmod.with_seed(scenario, scenario.seed + seed))
-        config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset),
-                             seed=seed)
-        init = frequentist_fit(dataset, config.Q)
-        t0 = time.perf_counter()
-        vi.fit(dataset, config, init)
-        vi_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        gibbs.gibbs_fit(dataset, config, n_chains=4, n_iter=n_iter, n_burn=n_burn,
-                        init=init)
-        mcmc_time = time.perf_counter() - t0
-        rows.append((scenario.name, scenario.I, scenario.J, scenario.Q,
-                     dataset.n_obs, vi_time, mcmc_time, mcmc_time / vi_time))
-    return rows
-
-
 def run_benchmark(args) -> int:
-    rows = benchmark_rows(args.group, q_values=tuple(int(q) for q in args.q_list.split(",")),
-                          smoke=args.smoke, seed=args.seed)
+    rows = analysis.benchmark_rows(
+        args.group, q_values=tuple(int(q) for q in args.q_list.split(",")),
+        smoke=args.smoke, seed=args.seed)
     out = _outdir(args)
-    _write_rows(out / f"benchmark_{args.group}.csv",
-                ["scenario", "I", "J", "Q", "n", "vi_time", "mcmc_time", "ratio"],
-                [(r[0], r[1], r[2], r[3], r[4], f"{r[5]:.4f}", f"{r[6]:.4f}",
-                  f"{r[7]:.3f}") for r in rows])
+    write_rows(out / f"benchmark_{args.group}.csv",
+               ["scenario", "I", "J", "Q", "n", "vi_time", "mcmc_time", "ratio"], rows)
     for r in rows:
         print(f"{r[0]}: n={r[4]} VI {r[5]:.2f}s MCMC {r[6]:.2f}s ratio {r[7]:.2f}")
     return 0
@@ -359,12 +275,17 @@ def _add_common(p, with_fit=True):
                        help="override a prior hyperparameter (repeatable)")
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ammivi", add_help=False)
+    parser.add_argument("--config", help="key = value config file; flags override it")
+    return parser
+
+
 def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ammivi",
+        prog="ammivi", parents=[_config_parser()],
         description="Bayesian AMMI analysis of genotype-by-environment data "
                     "via variational inference and Gibbs sampling")
-    parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = []
 
@@ -457,17 +378,11 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config_defaults = None
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        try:
-            config_defaults = _read_config_file(cfg_path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    parser = build_parser(config_defaults)
-    args = parser.parse_args(argv)
+    # the config file is read first because its values become parser defaults
+    config_path = _config_parser().parse_known_args(argv)[0].config
     try:
+        config_defaults = None if config_path is None else _read_config_file(config_path)
+        args = build_parser(config_defaults).parse_args(argv)
         return args.func(args)
     except analysis.DimensionMismatchError as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)

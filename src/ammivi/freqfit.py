@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Dataset, ThetaPoint
-from .statsmath import DegenerateInputError
+from .statsmath import DegenerateInputError, centered_svd
 
 
 def fit_additive(dataset: Dataset) -> tuple[float, np.ndarray, np.ndarray]:
@@ -54,8 +54,8 @@ def fit_interaction(dataset: Dataset, mu: float, g: np.ndarray, e: np.ndarray,
                     Q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-Q SVD of the doubly centered additive-residual matrix.
 
-    Missing cells enter as zero residuals (one-shot fill, no EM); gamma
-    columns are sign-fixed so the first nonzero entry is positive.
+    Missing cells enter as zero residuals (one-shot fill, no EM); factors
+    follow the sign convention of `statsmath.fix_signs`.
     """
     I, J = dataset.n_genotypes, dataset.n_environments
     if Q >= min(I, J):
@@ -63,20 +63,10 @@ def fit_interaction(dataset: Dataset, mu: float, g: np.ndarray, e: np.ndarray,
     if Q == 0:
         return np.zeros(0), np.zeros((I, 0)), np.zeros((J, 0))
 
-    R = _residual_matrix(dataset, mu, g, e)
-    R = R - R.mean(axis=1, keepdims=True) - R.mean(axis=0, keepdims=True) + R.mean()
-    U, svals, Vt = np.linalg.svd(R, full_matrices=False)
+    _, svals, gamma, delta = centered_svd(_residual_matrix(dataset, mu, g, e), Q)
     if svals[Q - 1] <= 1e-12 * max(svals[0], 1.0):
         raise DegenerateInputError(f"residual matrix has rank below Q={Q}")
-    lam = svals[:Q].copy()
-    gamma = U[:, :Q].copy()
-    delta = Vt[:Q].T.copy()
-    for k in range(Q):
-        lead = gamma[:, k][np.nonzero(gamma[:, k])[0][0]]
-        if lead < 0:
-            gamma[:, k] *= -1.0
-            delta[:, k] *= -1.0
-    return lam, gamma, delta
+    return svals[:Q].copy(), gamma, delta
 
 
 def frequentist_fit(dataset: Dataset, Q: int) -> ThetaPoint:

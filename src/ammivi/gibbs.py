@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqfit import frequentist_fit
-from .model import Dataset, Hyperparams, ModelConfig, ThetaPoint
+from .model import (Dataset, Hyperparams, ModelConfig, ThetaPoint, ValidationError,
+                    post_process)
 from .statsmath import ChainSet, TruncNormalParams, gelman_rubin, sample_trunc_normal
-from .vi import post_process
-
-BLOCKS = ("mu", "g", "e", "lambda", "gamma", "delta", "tau")
 
 
 @dataclass(frozen=True)
@@ -181,6 +179,9 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     Normal(0, 0.1^2) jitter and run sequentially with independent RNG
     streams derived from config.seed.
     """
+    if n_chains < 1 or n_iter < 1 or not 0 <= n_burn < n_iter:
+        raise ValueError(f"need n_chains >= 1, n_iter >= 1 and 0 <= n_burn < n_iter; "
+                         f"got {n_chains}, {n_iter} and {n_burn}")
     t0 = time.perf_counter()
     I, J, Q = dataset.n_genotypes, dataset.n_environments, config.Q
     hyper = config.hyper
@@ -295,3 +296,29 @@ def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
         out[name] = {"mean": flat.mean(axis=0),
                      "q05": qs[0], "q50": qs[1], "q95": qs[2]}
     return out
+
+
+def subsample_dataset(dataset: Dataset, fraction: float, seed: int) -> Dataset:
+    """Random cell subsample that keeps every row and column nonempty."""
+    n_keep = max(int(round(fraction * dataset.n_obs)), 1)
+    for attempt in range(500):
+        rng = np.random.default_rng([seed, attempt])
+        pick = np.sort(rng.choice(dataset.n_obs, size=n_keep, replace=False))
+        try:
+            return Dataset(rows=dataset.rows[pick], cols=dataset.cols[pick],
+                           y=dataset.y[pick],
+                           n_genotypes=dataset.n_genotypes,
+                           n_environments=dataset.n_environments,
+                           genotype_labels=dataset.genotype_labels,
+                           environment_labels=dataset.environment_labels)
+        except ValidationError:
+            continue
+    raise ValidationError("could not subsample without emptying a row or column")
+
+
+def mcmc_short_init(dataset: Dataset, config: ModelConfig, fraction: float = 0.25,
+                    n_iter: int = 500, n_burn: int = 100) -> ThetaPoint:
+    """Initialization from a short Gibbs run on a 25% cell subsample."""
+    sub = subsample_dataset(dataset, fraction, config.seed)
+    draws = gibbs_fit(sub, config, n_chains=1, n_iter=n_iter, n_burn=n_burn)
+    return posterior_mean_theta(draws)

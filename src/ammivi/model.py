@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .statsmath import centered_svd
+
 
 class ValidationError(ValueError):
     """Raised when input data violates the dataset contract."""
@@ -149,6 +151,29 @@ def mean_matrix(theta: ThetaPoint) -> np.ndarray:
     return out
 
 
+def post_process(theta: ThetaPoint) -> ThetaPoint:
+    """Map a parameter point to its identifiable representative.
+
+    Row/column means of the bilinear matrix are absorbed into the main
+    effects and grand mean, the doubly centered remainder is re-expressed
+    through its SVD with ordered singular values, and gamma columns are
+    sign-fixed by `statsmath.fix_signs`. Cell means are unchanged.
+    """
+    g, e = theta.g.copy(), theta.e.copy()
+    mu = theta.mu
+    lam, gamma, delta = theta.lam, theta.gamma, theta.delta
+    if theta.n_components:
+        (row, col, grand), svals, gamma, delta = centered_svd(
+            (theta.gamma * theta.lam) @ theta.delta.T, theta.n_components)
+        mu += grand
+        g += row - grand
+        e += col - grand
+        lam = svals[:theta.n_components].copy()
+    gm, em = g.mean(), e.mean()
+    return ThetaPoint(mu=mu + gm + em, g=g - gm, e=e - em,
+                      lam=lam, gamma=gamma, delta=delta, sigma2=theta.sigma2)
+
+
 def cell_counts(dataset: Dataset) -> tuple[int, np.ndarray, np.ndarray]:
     """Observed-cell counts: total, per genotype row, per environment column."""
     n_rows = np.bincount(dataset.rows, minlength=dataset.n_genotypes)
@@ -204,23 +229,25 @@ def load_csv(path) -> Dataset:
 THETA_HEADER = ["parameter", "index1", "index2", "value"]
 
 
-def write_theta_csv(theta: ThetaPoint, path) -> None:
-    """Named-parameter CSV of one parameter point (1-based indices)."""
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file; float cells are written as repr(float(v)), which reads back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(THETA_HEADER)
-        writer.writerow(["mu", "", "", repr(theta.mu)])
-        for i, v in enumerate(theta.g):
-            writer.writerow(["g", i + 1, "", repr(float(v))])
-        for j, v in enumerate(theta.e):
-            writer.writerow(["e", j + 1, "", repr(float(v))])
-        for q, v in enumerate(theta.lam):
-            writer.writerow(["lambda", q + 1, "", repr(float(v))])
-        for (i, q), v in np.ndenumerate(theta.gamma):
-            writer.writerow(["gamma", i + 1, q + 1, repr(float(v))])
-        for (j, q), v in np.ndenumerate(theta.delta):
-            writer.writerow(["delta", j + 1, q + 1, repr(float(v))])
-        writer.writerow(["sigma2", "", "", repr(theta.sigma2)])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def write_theta_csv(theta: ThetaPoint, path) -> None:
+    """Named-parameter CSV of one parameter point (1-based indices)."""
+    rows = [("mu", "", "", theta.mu)]
+    rows += [("g", i + 1, "", v) for i, v in enumerate(theta.g)]
+    rows += [("e", j + 1, "", v) for j, v in enumerate(theta.e)]
+    rows += [("lambda", q + 1, "", v) for q, v in enumerate(theta.lam)]
+    rows += [("gamma", i + 1, q + 1, v) for (i, q), v in np.ndenumerate(theta.gamma)]
+    rows += [("delta", j + 1, q + 1, v) for (j, q), v in np.ndenumerate(theta.delta)]
+    rows.append(("sigma2", "", "", theta.sigma2))
+    write_rows(path, THETA_HEADER, rows)
 
 
 def load_theta_csv(path) -> ThetaPoint:
@@ -262,10 +289,6 @@ def load_theta_csv(path) -> ThetaPoint:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, j, val in zip(dataset.rows, dataset.cols, dataset.y):
-            writer.writerow([dataset.genotype_labels[i],
-                             dataset.environment_labels[j],
-                             repr(float(val))])
+    write_rows(path, CSV_HEADER,
+               ((dataset.genotype_labels[i], dataset.environment_labels[j], val)
+                for i, j, val in zip(dataset.rows, dataset.cols, dataset.y)))

@@ -1,7 +1,8 @@
 """Distributional and linear-algebra primitives for the AMMI pipeline.
 
-Truncated-normal moments/sampling, column orthonormalization of the
-bilinear factor matrices, and the split-chain Gelman-Rubin diagnostic.
+Truncated-normal moments/sampling, column orthonormalization, sign
+convention and centered SVD of the bilinear factor matrices, and the
+split-chain Gelman-Rubin diagnostic.
 """
 
 from __future__ import annotations
@@ -134,9 +135,7 @@ def orthonormalize_interaction(raw_gamma: np.ndarray, raw_delta: np.ndarray
     """Turn raw factor matrices into identifiable bilinear factors.
 
     Columns are centered, made orthonormal by modified Gram-Schmidt, and
-    each gamma column is sign-fixed so its first entry is positive, with
-    the paired delta column flipped jointly so the bilinear product is
-    unchanged.
+    sign-fixed by `fix_signs`.
     """
     gamma = np.array(raw_gamma, dtype=float, copy=True)
     delta = np.array(raw_delta, dtype=float, copy=True)
@@ -156,13 +155,38 @@ def orthonormalize_interaction(raw_gamma: np.ndarray, raw_delta: np.ndarray
                 raise DegenerateInputError(
                     f"{name} column {k} is rank deficient after centering")
             mat[:, k] /= nrm
+    return fix_signs(gamma, delta)
 
-    for k in range(q):
-        lead = gamma[:, k][np.nonzero(gamma[:, k])[0][0]]
-        if lead < 0:
-            gamma[:, k] *= -1.0
-            delta[:, k] *= -1.0
+
+def fix_signs(gamma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign convention of the identifiable bilinear factors, applied in place.
+
+    Each gamma column whose first entry with |x| > 1e-12 is negative is
+    negated together with its paired delta column, so the bilinear
+    product is unchanged; a column with no such entry is left as it is.
+    """
+    for q in range(gamma.shape[1]):
+        lead = np.flatnonzero(np.abs(gamma[:, q]) > 1e-12)
+        if lead.size and gamma[lead[0], q] < 0:
+            gamma[:, q] *= -1.0
+            delta[:, q] *= -1.0
     return gamma, delta
+
+
+def centered_svd(mat: np.ndarray, Q: int):
+    """Top-Q SVD of a doubly centered matrix.
+
+    Returns the removed (row means, column means, grand mean), all
+    singular values in decreasing order, and the leading Q left and right
+    singular vectors as sign-fixed gamma (I x Q) and delta (J x Q) factors.
+    """
+    row = mat.mean(axis=1)
+    col = mat.mean(axis=0)
+    grand = mat.mean()
+    U, svals, Vt = np.linalg.svd(mat - row[:, None] - col[None, :] + grand,
+                                 full_matrices=False)
+    gamma, delta = fix_signs(U[:, :Q].copy(), Vt[:Q].T.copy())
+    return (row, col, grand), svals, gamma, delta
 
 
 def gelman_rubin(chains: ChainSet) -> float:

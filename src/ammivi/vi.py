@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr
 
-from .model import Dataset, Hyperparams, ModelConfig, ThetaPoint
-from .statsmath import TruncNormalParams, trunc_normal_moments
+from .model import Dataset, Hyperparams, ModelConfig, ThetaPoint, post_process
+from .statsmath import TruncNormalParams, fix_signs, trunc_normal_moments
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -161,22 +161,17 @@ def init_state(theta: ThetaPoint, dataset: Dataset, config: ModelConfig
                ) -> VariationalState:
     """State with means at a parameter point and unit variances.
 
-    Singular values are clipped away from zero and each gamma column is
-    sign-flipped (jointly with its delta column) so the first-row
-    location is positive, matching the truncated factor's support.
+    Singular values are clipped away from zero and the factors are
+    sign-fixed by `statsmath.fix_signs`, so a first-row entry (the
+    positive-truncated factor) further than 1e-12 from zero starts
+    positive; an exact zero there is moved to 1e-6.
     """
     I, J, Q = dataset.n_genotypes, dataset.n_environments, config.Q
     if theta.g.size != I or theta.e.size != J or theta.n_components != Q:
         raise ValueError("theta dimensions do not match dataset/config")
     lam = np.maximum(theta.lam.astype(float), 1e-6)
-    gamma = theta.gamma.astype(float).copy()
-    delta = theta.delta.astype(float).copy()
-    for q in range(Q):
-        if gamma[0, q] < 0:
-            gamma[:, q] *= -1.0
-            delta[:, q] *= -1.0
-        if gamma[0, q] == 0.0:
-            gamma[0, q] = 1e-6
+    gamma, delta = fix_signs(theta.gamma.astype(float), theta.delta.astype(float))
+    gamma[0, gamma[0] == 0.0] = 1e-6
     a_q = config.hyper.a + dataset.n_obs / 2.0
     # Initial variances must be small relative to the bilinear entries
     # (~1/sqrt(I)): unit variances dominate the E[gamma^2] E[delta^2]
@@ -389,48 +384,6 @@ def posterior_mean_theta(state: VariationalState) -> ThetaPoint:
     return ThetaPoint(mu=cache.tilde_mu, g=cache.tilde_g, e=cache.tilde_e,
                       lam=cache.tilde_lambda, gamma=cache.tilde_gamma,
                       delta=cache.tilde_delta, sigma2=float(sigma2))
-
-
-def post_process(theta: ThetaPoint) -> ThetaPoint:
-    """Map a parameter point to its identifiable representative.
-
-    Row/column means of the bilinear matrix are absorbed into the main
-    effects and grand mean, the doubly centered remainder is re-expressed
-    through its SVD with ordered singular values, and gamma columns are
-    sign-fixed positive in their first nonzero entry. Cell means are
-    unchanged.
-    """
-    g, e = theta.g.copy(), theta.e.copy()
-    mu = theta.mu
-    Q = theta.n_components
-    if Q:
-        M = (theta.gamma * theta.lam) @ theta.delta.T
-        row = M.mean(axis=1)
-        col = M.mean(axis=0)
-        grand = M.mean()
-        mu += grand
-        g += row - grand
-        e += col - grand
-        Mc = M - row[:, None] - col[None, :] + grand
-        U, svals, Vt = np.linalg.svd(Mc, full_matrices=False)
-        lam = svals[:Q].copy()
-        gamma = U[:, :Q].copy()
-        delta = Vt[:Q].T.copy()
-        for q in range(Q):
-            nz = np.nonzero(np.abs(gamma[:, q]) > 1e-12)[0]
-            lead = gamma[nz[0], q] if nz.size else 1.0
-            if lead < 0:
-                gamma[:, q] *= -1.0
-                delta[:, q] *= -1.0
-    else:
-        lam, gamma, delta = theta.lam, theta.gamma, theta.delta
-    gm, em = g.mean(), e.mean()
-    return ThetaPoint(mu=mu + gm + em, g=g - gm, e=e - em,
-                      lam=lam, gamma=gamma, delta=delta, sigma2=theta.sigma2)
-
-
-def post_process_state(state: VariationalState) -> ThetaPoint:
-    return post_process(posterior_mean_theta(state))
 
 
 def fit(dataset: Dataset, config: ModelConfig, init: ThetaPoint,

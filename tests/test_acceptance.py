@@ -14,8 +14,9 @@ import pytest
 
 import conftest
 from ammivi import analysis, gibbs, vi
-from ammivi.cli import benchmark_rows, mcmc_short_init
+from ammivi.analysis import benchmark_rows
 from ammivi.freqfit import frequentist_fit
+from ammivi.gibbs import mcmc_short_init
 from ammivi.model import ModelConfig, default_hyperparams, mean_matrix
 from ammivi.simulate import SimScenario, scenario_by_name, simulate, with_seed
 from ammivi.statsmath import (ChainSet, TruncNormalParams, gelman_rubin,

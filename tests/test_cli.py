@@ -8,6 +8,8 @@ import pytest
 from ammivi.cli import main
 
 DUP_CSV = "genotype,environment,yield\nA,x,1\nA,x,2\nB,x,3\n"
+# columns holding names; every other non-empty cell a subcommand writes is a number
+LABEL_COLUMNS = {"genotype", "environment", "parameter", "key", "init", "scenario"}
 
 
 @pytest.fixture
@@ -15,12 +17,27 @@ def sim_dir(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", "recovery-lambda20",
                  "--output-dir", str(out)]) == 0
+    assert_numeric_csvs(out, 2)
     return out
 
 
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_numeric_csvs(directory, n_files):
+    """The directory holds n_files CSVs whose value cells all parse with float()."""
+    paths = sorted(directory.glob("*.csv"))
+    assert len(paths) == n_files
+    for path in paths:
+        header, *body = read_rows(path)
+        numeric = [k for k, name in enumerate(header) if name not in LABEL_COLUMNS]
+        for row in body:
+            assert len(row) == len(header), path
+            for k in numeric:
+                if row[k]:
+                    float(row[k])
 
 
 class TestSimulate:
@@ -34,6 +51,7 @@ class TestSimulate:
         assert main(["simulate", "--i", "6", "--j", "4", "--lambda", "8,3",
                      "--seed", "2", "--output-dir", str(out)]) == 0
         assert len(read_rows(out / "data.csv")) == 25
+        assert_numeric_csvs(out, 2)
 
     def test_missing_required_args(self, tmp_path):
         assert main(["simulate", "--output-dir", str(tmp_path)]) == 2
@@ -46,6 +64,7 @@ class TestFits:
                      "--q", "1", "--output-dir", str(out)]) == 0
         params = {row[0] for row in read_rows(out / "theta.csv")[1:]}
         assert params == {"mu", "g", "e", "lambda", "gamma", "delta", "sigma2"}
+        assert_numeric_csvs(out, 1)
 
     def test_fit_vi_outputs_and_convergence(self, sim_dir, tmp_path):
         out = tmp_path / "vi"
@@ -56,6 +75,7 @@ class TestFits:
             assert (out / name).exists()
         summary = dict(read_rows(out / "fit_summary.csv")[1:])
         assert summary["converged"] == "1"
+        assert_numeric_csvs(out, 4)
 
     def test_fit_vi_reproducible(self, sim_dir, tmp_path):
         args = ["fit-vi", "--input", str(sim_dir / "data.csv"), "--q", "1",
@@ -74,6 +94,14 @@ class TestFits:
         assert main(["fit-vi", "--input", str(sim_dir / "data.csv"), "--q", "1",
                      "--init", "file", "--init-file", str(freq_out / "theta.csv"),
                      "--output-dir", str(out)]) == 0
+        assert_numeric_csvs(out, 4)
+
+    def test_fit_vi_reads_its_own_theta(self, sim_dir, tmp_path):
+        args = ["fit-vi", "--input", str(sim_dir / "data.csv"), "--q", "1"]
+        first, second = tmp_path / "v1", tmp_path / "v2"
+        assert main(args + ["--output-dir", str(first)]) == 0
+        assert main(args + ["--init", "file", "--init-file", str(first / "theta.csv"),
+                            "--output-dir", str(second)]) == 0
 
     def test_init_file_flag_required(self, sim_dir, tmp_path):
         assert main(["fit-vi", "--input", str(sim_dir / "data.csv"),
@@ -89,6 +117,7 @@ class TestFits:
                      "draws_scalar.csv"):
             assert (out / name).exists()
         assert len(read_rows(out / "draws_scalar.csv")) == 1 + 2 * 60
+        assert_numeric_csvs(out, 4)
 
 
 class TestPredictAndCompare:
@@ -99,6 +128,7 @@ class TestPredictAndCompare:
                      "--output-dir", str(out)]) == 0
         for tag in ("q05", "q50", "q95", "observed"):
             assert (out / f"predict_{tag}.csv").exists()
+        assert_numeric_csvs(out, 4)
 
     def test_compare_outputs(self, sim_dir, tmp_path):
         out = tmp_path / "cmp"
@@ -107,6 +137,7 @@ class TestPredictAndCompare:
                      "--burn", "20", "--output-dir", str(out)]) == 0
         assert (out / "compare.csv").exists()
         assert (out / "compare.txt").exists()
+        assert_numeric_csvs(out, 1)
 
     def test_compare_mismatched_q_exit_code(self, sim_dir, tmp_path):
         assert main(["compare", "--input", str(sim_dir / "data.csv"),
@@ -131,6 +162,22 @@ class TestExitCodes:
                      "--hyper", "bogus=1",
                      "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("sizes", [["--chains", "0"], ["--iters", "0", "--burn", "0"],
+                                       ["--burn", "-1"], ["--iters", "20", "--burn", "20"]],
+                             ids=["no-chains", "no-iters", "negative-burn", "burn-all"])
+    def test_bad_mcmc_sizes_rejected_before_sampling(self, sim_dir, tmp_path, sizes):
+        out = tmp_path / "mcmc"
+        assert main(["fit-mcmc", "--input", str(sim_dir / "data.csv"),
+                     "--iters", "20", "--burn", "5", *sizes,
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_zero_predict_draws(self, sim_dir, tmp_path):
+        out = tmp_path / "pred"
+        assert main(["predict", "--input", str(sim_dir / "data.csv"), "--draws", "0",
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, sim_dir, tmp_path):
@@ -150,10 +197,34 @@ class TestConfigFile:
         summary2 = dict(read_rows(out2 / "fit_summary.csv")[1:])
         assert int(summary2["n_iter"]) == 8
 
+    def test_equals_form_is_read(self, sim_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter = 5\n")
+        out = tmp_path / "cfg_out"
+        assert main([f"--config={cfg}", "fit-vi", "--input", str(sim_dir / "data.csv"),
+                     "--output-dir", str(out)]) == 0
+        assert dict(read_rows(out / "fit_summary.csv")[1:])["n_iter"] == "5"
+
     def test_missing_config_io(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "simulate",
                      "--i", "4", "--j", "4", "--lambda", "5",
                      "--output-dir", str(tmp_path)]) == 3
+
+    def test_missing_config_equals_form_io(self, tmp_path):
+        assert main([f"--config={tmp_path / 'nope.cfg'}", "simulate",
+                     "--i", "4", "--j", "4", "--lambda", "5",
+                     "--output-dir", str(tmp_path)]) == 3
+
+    def test_bad_config_line_validation(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("no equals sign here\n")
+        assert main(["--config", str(cfg), "simulate", "--i", "4", "--j", "4",
+                     "--output-dir", str(tmp_path)]) == 2
+
+    def test_config_without_value(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config"])
+        assert exc.value.code == 2
 
 
 class TestStudies:
@@ -167,6 +238,7 @@ class TestStudies:
         inits = {row[1] for row in rows[1:]}
         assert inits == {"random", "freq", "mcmc-short"}
         assert all(float(row[3]) > 0 for row in rows[1:])
+        assert_numeric_csvs(out, 1)
 
     def test_benchmark_smoke(self, tmp_path):
         out = tmp_path / "bench"
@@ -179,3 +251,4 @@ class TestStudies:
         ns = sorted(int(r[4]) for r in rows[1:])
         assert ns == [100, 250, 500, 1000]
         assert all(float(r[7]) > 0 for r in rows[1:])
+        assert_numeric_csvs(out, 1)

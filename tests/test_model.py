@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ammivi import gibbs, vi
+from ammivi.freqfit import frequentist_fit
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
                           ValidationError, cell_counts, dataset_from_labels,
                           default_hyperparams, load_csv, load_theta_csv,
                           mean_matrix, model_mean, write_csv, write_theta_csv)
+from ammivi.simulate import SimScenario, simulate
 from conftest import complete_dataset, random_dataset, random_theta
 
 
@@ -183,6 +186,22 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.g, theta.g)
         assert np.array_equal(loaded.gamma, theta.gamma)
         assert loaded.sigma2 == theta.sigma2
+
+    def test_theta_round_trip_exact_for_fitted_points(self, tmp_path):
+        ds, _ = simulate(SimScenario(I=8, J=6, Q=2, lambda_true=(12.0, 6.0),
+                                     missing_fraction=0.2, seed=9))
+        config = ModelConfig(Q=2, hyper=default_hyperparams(ds), seed=1)
+        freq = frequentist_fit(ds, 2)
+        thetas = {"freq": freq, "vi": vi.fit(ds, config, freq).theta,
+                  "gibbs": gibbs.posterior_mean_theta(
+                      gibbs.gibbs_fit(ds, config, n_chains=1, n_iter=30, n_burn=10))}
+        for name, theta in thetas.items():
+            path = tmp_path / f"{name}.csv"
+            write_theta_csv(theta, path)
+            loaded = load_theta_csv(path)
+            for field in ("mu", "g", "e", "lam", "gamma", "delta", "sigma2"):
+                assert np.array_equal(getattr(loaded, field), getattr(theta, field)), \
+                    (name, field)
 
     def test_theta_round_trip_q0(self, tmp_path):
         theta = ThetaPoint(mu=1.0, g=[0.5, -0.5], e=[0.1, -0.1],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ammivi.statsmath import (ChainSet, DegenerateInputError, TruncNormalParams,
-                              gelman_rubin, orthonormalize_interaction,
+                              fix_signs, gelman_rubin, orthonormalize_interaction,
                               sample_trunc_normal, trunc_normal_moments)
 
 
@@ -114,6 +114,33 @@ class TestSampleTruncNormal:
             draws = sample_trunc_normal(rng, p, size=n)
             mean, var = trunc_normal_moments(p)
             assert abs(draws.mean() - mean) < 3 * np.sqrt(var / n)
+
+
+class TestFixSigns:
+    def test_negative_leading_entry_flips_pair(self):
+        gamma = np.array([[-0.5, 0.5], [0.5, -0.5]])
+        delta = np.array([[1.0, 2.0], [3.0, 4.0]])
+        got_gamma, got_delta = fix_signs(gamma.copy(), delta.copy())
+        assert np.array_equal(got_gamma, [[0.5, 0.5], [-0.5, -0.5]])
+        assert np.array_equal(got_delta, [[-1.0, 2.0], [-3.0, 4.0]])
+
+    def test_zero_first_row_uses_next_entry(self):
+        gamma = np.array([[0.0, 0.0], [-0.6, 0.6], [0.6, -0.6]])
+        delta = np.ones((2, 2))
+        got_gamma, got_delta = fix_signs(gamma.copy(), delta.copy())
+        assert np.array_equal(got_gamma[:, 0], -gamma[:, 0])
+        assert np.array_equal(got_gamma[:, 1], gamma[:, 1])
+        assert np.array_equal(got_delta, [[-1.0, 1.0], [-1.0, 1.0]])
+
+    def test_entry_within_tolerance_of_zero_is_skipped(self):
+        gamma = np.array([[-1e-13], [0.7], [-0.7]])
+        delta = np.array([[2.0], [-2.0]])
+        got_gamma, got_delta = fix_signs(gamma.copy(), delta.copy())
+        assert np.array_equal(got_gamma, gamma)
+        assert np.array_equal(got_delta, delta)
+        got_gamma, got_delta = fix_signs(-gamma, -delta)
+        assert np.array_equal(got_gamma, gamma)
+        assert np.array_equal(got_delta, delta)
 
 
 class TestOrthonormalizeInteraction:
