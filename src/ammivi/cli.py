@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 divergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,23 +26,16 @@ EXIT_DIMENSION = 5
 
 
 def _parse_hyper(pairs, dataset) -> Hyperparams:
-    base = default_hyperparams(dataset)
+    names = {f.name for f in dataclasses.fields(Hyperparams)}
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValidationError(f"--hyper expects key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        if key not in ("mu_mu", "sigma2_mu", "sigma2_g", "sigma2_e",
-                       "sigma2_lambda", "a", "b"):
+        if key not in names:
             raise ValidationError(f"unknown hyperparameter {key!r}")
         overrides[key] = float(val)
-    if overrides:
-        fields = {k: getattr(base, k) for k in
-                  ("mu_mu", "sigma2_mu", "sigma2_g", "sigma2_e",
-                   "sigma2_lambda", "a", "b")}
-        fields.update(overrides)
-        return Hyperparams(**fields)
-    return base
+    return dataclasses.replace(default_hyperparams(dataset), **overrides)
 
 
 def _outdir(args) -> Path:
@@ -145,6 +139,9 @@ def run_fit_vi(args) -> int:
 def run_fit_mcmc(args) -> int:
     dataset = load_csv(args.input)
     config = _model_config(args, dataset)
+    if args.chains >= 2 and args.iters - args.burn < 4:
+        raise ValidationError(f"R-hat needs --iters - --burn >= 4 with 2 or more chains; "
+                              f"got {args.iters} - {args.burn}")
     draws = gibbs.gibbs_fit(dataset, config, n_chains=args.chains,
                             n_iter=args.iters, n_burn=args.burn)
     out = _outdir(args)
@@ -191,14 +188,13 @@ def run_predict(args) -> int:
 def run_compare(args) -> int:
     dataset = load_csv(args.input)
     config = _model_config(args, dataset)
-    init = frequentist_fit(dataset, config.Q)
-    vi_fit = vi.fit(dataset, config, init)
-    mcmc_q = args.mcmc_q if args.mcmc_q is not None else args.q
-    mcmc_config = ModelConfig(Q=mcmc_q, hyper=config.hyper,
-                              max_iter=config.max_iter, tol=config.tol,
-                              seed=config.seed)
-    draws = gibbs.gibbs_fit(dataset, mcmc_config, n_chains=args.chains,
+    if args.mcmc_q is not None and args.mcmc_q != args.q:
+        raise analysis.DimensionMismatchError(
+            f"--mcmc-q {args.mcmc_q} differs from --q {args.q}")
+    # Gibbs first: gibbs_fit rejects bad sizes before either fit does any work
+    draws = gibbs.gibbs_fit(dataset, config, n_chains=args.chains,
                             n_iter=args.iters, n_burn=args.burn)
+    vi_fit = vi.fit(dataset, config, frequentist_fit(dataset, config.Q))
     report = analysis.compare(vi_fit, draws, dataset)
     out = _outdir(args)
     report.to_csv(out / "compare.csv")
@@ -294,6 +290,19 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         subparsers.append(p)
         return p
 
+    # flags shared by several subcommands; built per call because argparse
+    # shares these action objects, and config defaults are set on them
+    input_flag = argparse.ArgumentParser(add_help=False)
+    input_flag.add_argument("--input", required=True)
+    init_flags = argparse.ArgumentParser(add_help=False)
+    init_flags.add_argument("--init", choices=["freq", "random", "file", "mcmc-short"],
+                            default="freq")
+    init_flags.add_argument("--init-file")
+    chain_flags = argparse.ArgumentParser(add_help=False)
+    chain_flags.add_argument("--chains", type=int, default=4)
+    chain_flags.add_argument("--iters", type=int, default=6000)
+    chain_flags.add_argument("--burn", type=int, default=1000)
+
     p = add_parser("simulate", help="generate a synthetic trial dataset")
     p.add_argument("--scenario", help="named scenario from the built-in grid")
     p.add_argument("--i", type=int, help="number of genotypes")
@@ -308,46 +317,32 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=run_simulate)
 
-    p = add_parser("fit-freq", help="frequentist multi-stage fit")
-    p.add_argument("--input", required=True)
+    p = add_parser("fit-freq", help="frequentist multi-stage fit", parents=[input_flag])
     _add_common(p)
     p.set_defaults(func=run_fit_freq)
 
-    p = add_parser("fit-vi", help="coordinate-ascent variational fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--init", choices=["freq", "random", "file", "mcmc-short"],
-                   default="freq")
-    p.add_argument("--init-file")
+    p = add_parser("fit-vi", help="coordinate-ascent variational fit",
+                   parents=[input_flag, init_flags])
     _add_common(p)
     p.set_defaults(func=run_fit_vi)
 
-    p = add_parser("fit-mcmc", help="Gibbs sampler fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--iters", type=int, default=6000)
-    p.add_argument("--burn", type=int, default=1000)
+    p = add_parser("fit-mcmc", help="Gibbs sampler fit", parents=[input_flag, chain_flags])
     p.add_argument("--save-draws", action="store_true")
     _add_common(p)
     p.set_defaults(func=run_fit_mcmc)
 
-    p = add_parser("predict", help="fit VI and export predictive quantile heatmaps")
-    p.add_argument("--input", required=True)
-    p.add_argument("--init", choices=["freq", "random", "file", "mcmc-short"],
-                   default="freq")
-    p.add_argument("--init-file")
+    p = add_parser("predict", help="fit VI and export predictive quantile heatmaps",
+                   parents=[input_flag, init_flags])
     p.add_argument("--draws", type=int, default=4000)
     p.add_argument("--include-noise", action="store_true")
     p.add_argument("--prefix", default="predict")
     _add_common(p)
     p.set_defaults(func=run_predict)
 
-    p = add_parser("compare", help="fit both ways and compare posteriors")
-    p.add_argument("--input", required=True)
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--iters", type=int, default=6000)
-    p.add_argument("--burn", type=int, default=1000)
+    p = add_parser("compare", help="fit both ways and compare posteriors",
+                   parents=[input_flag, chain_flags])
     p.add_argument("--mcmc-q", type=int, default=None,
-                   help="Q for the MCMC side (default: same as --q)")
+                   help="Q for the MCMC side; must equal --q (default: --q)")
     _add_common(p)
     p.set_defaults(func=run_compare)
 

@@ -23,16 +23,11 @@ def fit_additive(dataset: Dataset) -> tuple[float, np.ndarray, np.ndarray]:
     # sum coding: g_I = -sum(g_1..g_{I-1}), e_J likewise
     X = np.zeros((n, 1 + (I - 1) + (J - 1)))
     X[:, 0] = 1.0
-    for k, idx in enumerate(dataset.rows):
-        if idx < I - 1:
-            X[k, 1 + idx] = 1.0
-        else:
-            X[k, 1:I] = -1.0
-    for k, idx in enumerate(dataset.cols):
-        if idx < J - 1:
-            X[k, I + idx] = 1.0
-        else:
-            X[k, I:] = -1.0
+    obs = np.arange(n)
+    for offset, idx, size in ((1, dataset.rows, I), (I, dataset.cols, J)):
+        last = idx == size - 1
+        X[obs[~last], offset + idx[~last]] = 1.0
+        X[last, offset:offset + size - 1] = -1.0
     beta, _, rank, _ = np.linalg.lstsq(X, dataset.y, rcond=None)
     if rank < X.shape[1]:
         raise DegenerateInputError("additive design is singular (disconnected table)")

@@ -9,7 +9,7 @@ cross-check the two derivations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from .freqfit import frequentist_fit
 from .model import (Dataset, Hyperparams, ModelConfig, ThetaPoint, ValidationError,
                     post_process)
 from .statsmath import ChainSet, TruncNormalParams, gelman_rubin, sample_trunc_normal
+
+# the blocks of a parameter point, stored draw by draw in PosteriorDraws
+DRAW_FIELDS = tuple(f.name for f in fields(ThetaPoint))
 
 
 @dataclass(frozen=True)
@@ -186,79 +189,52 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     I, J, Q = dataset.n_genotypes, dataset.n_environments, config.Q
     hyper = config.hyper
     base = init if init is not None else frequentist_fit(dataset, Q)
-
-    mu_d = np.empty((n_chains, n_iter))
-    g_d = np.empty((n_chains, n_iter, I))
-    e_d = np.empty((n_chains, n_iter, J))
-    lam_d = np.empty((n_chains, n_iter, Q))
-    gamma_d = np.empty((n_chains, n_iter, I, Q))
-    delta_d = np.empty((n_chains, n_iter, J, Q))
-    sig_d = np.empty((n_chains, n_iter))
+    if base.g.size != I or base.e.size != J or base.n_components != Q:
+        raise ValueError("init dimensions do not match dataset/config")
+    store = {name: np.empty((n_chains, n_iter, *np.shape(getattr(base, name))))
+             for name in DRAW_FIELDS}
 
     for c in range(n_chains):
         rng = np.random.default_rng([config.seed, c])
         theta = _jittered_init(base, rng)
-        mu, g, e = theta.mu, theta.g.copy(), theta.e.copy()
-        lam = theta.lam.copy()
-        gamma, delta = theta.gamma.copy(), theta.delta.copy()
-        sigma2 = theta.sigma2
         for t in range(n_iter):
-            theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                               delta=delta, sigma2=sigma2)
             m, v = _cond_mu(theta, dataset, hyper)
-            mu = rng.normal(m, np.sqrt(v))
+            theta = replace(theta, mu=rng.normal(m, np.sqrt(v)))
 
-            theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                               delta=delta, sigma2=sigma2)
             means, variances = _cond_g(theta, dataset, hyper)
-            g = means + np.sqrt(variances) * rng.standard_normal(I)
+            theta = replace(theta, g=means + np.sqrt(variances) * rng.standard_normal(I))
 
-            theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                               delta=delta, sigma2=sigma2)
             means, variances = _cond_e(theta, dataset, hyper)
-            e = means + np.sqrt(variances) * rng.standard_normal(J)
+            theta = replace(theta, e=means + np.sqrt(variances) * rng.standard_normal(J))
 
             for q in range(Q):
-                theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                                   delta=delta, sigma2=sigma2)
                 loc, var = _cond_lambda(theta, dataset, hyper, q)
-                lam = lam.copy()
+                lam = theta.lam.copy()
                 lam[q] = sample_trunc_normal(rng, TruncNormalParams(loc, var))
+                theta = replace(theta, lam=lam)
 
-                theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                                   delta=delta, sigma2=sigma2)
                 locs, variances = _cond_gamma(theta, dataset, hyper, q)
-                gamma = gamma.copy()
+                gamma = theta.gamma.copy()
                 gamma[0, q] = sample_trunc_normal(
                     rng, TruncNormalParams(float(locs[0]), float(variances[0])))
                 gamma[1:, q] = locs[1:] + np.sqrt(variances[1:]) * rng.standard_normal(I - 1)
+                theta = replace(theta, gamma=gamma)
 
-                theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                                   delta=delta, sigma2=sigma2)
                 locs, variances = _cond_delta(theta, dataset, hyper, q)
-                delta = delta.copy()
+                delta = theta.delta.copy()
                 delta[:, q] = locs + np.sqrt(variances) * rng.standard_normal(J)
+                theta = replace(theta, delta=delta)
 
-            theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                               delta=delta, sigma2=sigma2)
             shape, rate = _cond_tau(theta, dataset, hyper)
-            sigma2 = 1.0 / rng.gamma(shape, 1.0 / rate)
+            theta = replace(theta, sigma2=1.0 / rng.gamma(shape, 1.0 / rate))
 
             # identifiable representative for reporting; the chain itself
             # keeps running on the unconstrained values
-            rep = post_process(ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma,
-                                          delta=delta, sigma2=sigma2))
-            mu_d[c, t] = rep.mu
-            g_d[c, t] = rep.g
-            e_d[c, t] = rep.e
-            lam_d[c, t] = rep.lam
-            gamma_d[c, t] = rep.gamma
-            delta_d[c, t] = rep.delta
-            sig_d[c, t] = rep.sigma2
+            rep = post_process(theta)
+            for name in DRAW_FIELDS:
+                store[name][c, t] = getattr(rep, name)
 
-    return PosteriorDraws(mu=mu_d, g=g_d, e=e_d, lam=lam_d, gamma=gamma_d,
-                          delta=delta_d, sigma2=sig_d, n_burn=n_burn,
-                          wall_time=time.perf_counter() - t0)
+    return PosteriorDraws(**store, n_burn=n_burn, wall_time=time.perf_counter() - t0)
 
 
 def rhat_table(draws: PosteriorDraws) -> dict[str, np.ndarray]:
@@ -290,7 +266,7 @@ def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
     if draws.n_iter <= draws.n_burn:
         raise ValueError("no post-burn-in draws to summarize")
     out = {}
-    for name in ("mu", "g", "e", "lam", "gamma", "delta", "sigma2"):
+    for name in DRAW_FIELDS:
         flat = draws.flat(name)
         qs = np.quantile(flat, [0.05, 0.50, 0.95], axis=0)
         out[name] = {"mean": flat.mean(axis=0),

@@ -151,12 +151,6 @@ def point_mass_cache(theta: ThetaPoint) -> ExpectationCache:
         tilde_tau=1.0 / theta.sigma2)
 
 
-def _bilinear_obs(cache: ExpectationCache, rows, cols) -> np.ndarray:
-    if cache.tilde_lambda.size == 0:
-        return np.zeros(rows.size)
-    return (cache.tilde_gamma[rows] * cache.tilde_delta[cols]) @ cache.tilde_lambda
-
-
 def init_state(theta: ThetaPoint, dataset: Dataset, config: ModelConfig
                ) -> VariationalState:
     """State with means at a parameter point and unit variances.
@@ -199,12 +193,20 @@ def random_theta(dataset: Dataset, Q: int, rng: np.random.Generator) -> ThetaPoi
         sigma2=1.0)
 
 
+def _resid(cache: ExpectationCache, dataset: Dataset) -> np.ndarray:
+    """y minus the expected cell mean at each observed cell; updates add their own term back."""
+    rows, cols = dataset.rows, dataset.cols
+    out = dataset.y - cache.tilde_mu - cache.tilde_g[rows] - cache.tilde_e[cols]
+    if cache.tilde_lambda.size:
+        out -= (cache.tilde_gamma[rows] * cache.tilde_delta[cols]) @ cache.tilde_lambda
+    return out
+
+
 def update_mu(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
               cache: ExpectationCache) -> tuple[float, float]:
-    resid = (dataset.y - cache.tilde_g[dataset.rows] - cache.tilde_e[dataset.cols]
-             - _bilinear_obs(cache, dataset.rows, dataset.cols))
+    resid_sum = _resid(cache, dataset).sum() + dataset.n_obs * cache.tilde_mu
     prec = dataset.n_obs * cache.tilde_tau + 1.0 / hyper.sigma2_mu
-    mean = (cache.tilde_tau * resid.sum() + hyper.mu_mu / hyper.sigma2_mu) / prec
+    mean = (cache.tilde_tau * resid_sum + hyper.mu_mu / hyper.sigma2_mu) / prec
     state.mu_q_mu, state.Sigma_q_mu = float(mean), float(1.0 / prec)
     cache.tilde_mu, cache.var_mu = state.mu_q_mu, state.Sigma_q_mu
     return state.mu_q_mu, state.Sigma_q_mu
@@ -213,11 +215,10 @@ def update_mu(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 def update_g(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
              cache: ExpectationCache) -> tuple[np.ndarray, np.ndarray]:
     I = dataset.n_genotypes
-    resid = (dataset.y - cache.tilde_mu - cache.tilde_e[dataset.cols]
-             - _bilinear_obs(cache, dataset.rows, dataset.cols))
     n_rows = np.bincount(dataset.rows, minlength=I)
     prec = n_rows * cache.tilde_tau + 1.0 / hyper.sigma2_g
-    sums = np.bincount(dataset.rows, weights=resid, minlength=I)
+    sums = (np.bincount(dataset.rows, weights=_resid(cache, dataset), minlength=I)
+            + n_rows * cache.tilde_g)
     state.mu_q_g = cache.tilde_tau * sums / prec
     state.Sigma_q_g = 1.0 / prec
     cache.tilde_g, cache.var_g = state.mu_q_g.copy(), state.Sigma_q_g.copy()
@@ -227,11 +228,10 @@ def update_g(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 def update_e(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
              cache: ExpectationCache) -> tuple[np.ndarray, np.ndarray]:
     J = dataset.n_environments
-    resid = (dataset.y - cache.tilde_mu - cache.tilde_g[dataset.rows]
-             - _bilinear_obs(cache, dataset.rows, dataset.cols))
     n_cols = np.bincount(dataset.cols, minlength=J)
     prec = n_cols * cache.tilde_tau + 1.0 / hyper.sigma2_e
-    sums = np.bincount(dataset.cols, weights=resid, minlength=J)
+    sums = (np.bincount(dataset.cols, weights=_resid(cache, dataset), minlength=J)
+            + n_cols * cache.tilde_e)
     state.mu_q_e = cache.tilde_tau * sums / prec
     state.Sigma_q_e = 1.0 / prec
     cache.tilde_e, cache.var_e = state.mu_q_e.copy(), state.Sigma_q_e.copy()
@@ -240,11 +240,8 @@ def update_e(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 def _partial_resid(dataset: Dataset, cache: ExpectationCache, q: int) -> np.ndarray:
     """Residual at observed cells with component q left out of the bilinear sum."""
-    resid = (dataset.y - cache.tilde_mu - cache.tilde_g[dataset.rows]
-             - cache.tilde_e[dataset.cols]
-             - _bilinear_obs(cache, dataset.rows, dataset.cols))
-    return resid + (cache.tilde_lambda[q] * cache.tilde_gamma[dataset.rows, q]
-                    * cache.tilde_delta[dataset.cols, q])
+    return _resid(cache, dataset) + (cache.tilde_lambda[q] * cache.tilde_gamma[dataset.rows, q]
+                                     * cache.tilde_delta[dataset.cols, q])
 
 
 def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
@@ -305,8 +302,7 @@ def update_delta(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 def expected_sse(cache: ExpectationCache, dataset: Dataset) -> float:
     """E || y - model mean ||^2 over observed cells under the mean field."""
     rows, cols = dataset.rows, dataset.cols
-    r = (dataset.y - cache.tilde_mu - cache.tilde_g[rows] - cache.tilde_e[cols]
-         - _bilinear_obs(cache, rows, cols))
+    r = _resid(cache, dataset)
     total = float(r @ r)
     total += dataset.n_obs * cache.var_mu
     total += float(cache.var_g[rows].sum() + cache.var_e[cols].sum())

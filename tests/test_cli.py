@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from ammivi import gibbs, vi
 from ammivi.cli import main
 
 DUP_CSV = "genotype,environment,yield\nA,x,1\nA,x,2\nB,x,3\n"
@@ -24,6 +25,14 @@ def sim_dir(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def forbid_calls(monkeypatch, *targets):
+    """Make each (module, name) fail the test if it is called."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a fit started before the inputs were checked")
+    for module, name in targets:
+        monkeypatch.setattr(module, name, fail)
 
 
 def assert_numeric_csvs(directory, n_files):
@@ -139,11 +148,24 @@ class TestPredictAndCompare:
         assert (out / "compare.txt").exists()
         assert_numeric_csvs(out, 1)
 
-    def test_compare_mismatched_q_exit_code(self, sim_dir, tmp_path):
+    def test_compare_mismatched_q_exit_code(self, sim_dir, tmp_path, monkeypatch):
+        forbid_calls(monkeypatch, (vi, "fit"), (gibbs, "gibbs_fit"))
+        out = tmp_path / "cmp"
         assert main(["compare", "--input", str(sim_dir / "data.csv"),
                      "--q", "1", "--mcmc-q", "2", "--chains", "2",
                      "--iters", "30", "--burn", "10",
-                     "--output-dir", str(tmp_path)]) == 5
+                     "--output-dir", str(out)]) == 5
+        assert not out.exists()
+
+    def test_compare_bad_sizes_rejected_before_fitting(self, sim_dir, tmp_path,
+                                                       monkeypatch):
+        # gibbs_fit itself runs: its size check is the one under test
+        forbid_calls(monkeypatch, (vi, "fit"), (gibbs, "frequentist_fit"))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", str(sim_dir / "data.csv"),
+                     "--iters", "300", "--burn", "300",
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -163,8 +185,10 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("sizes", [["--chains", "0"], ["--iters", "0", "--burn", "0"],
-                                       ["--burn", "-1"], ["--iters", "20", "--burn", "20"]],
-                             ids=["no-chains", "no-iters", "negative-burn", "burn-all"])
+                                       ["--burn", "-1"], ["--iters", "20", "--burn", "20"],
+                                       ["--chains", "2", "--iters", "5", "--burn", "2"]],
+                             ids=["no-chains", "no-iters", "negative-burn", "burn-all",
+                                  "too-short-for-rhat"])
     def test_bad_mcmc_sizes_rejected_before_sampling(self, sim_dir, tmp_path, sizes):
         out = tmp_path / "mcmc"
         assert main(["fit-mcmc", "--input", str(sim_dir / "data.csv"),

@@ -96,6 +96,13 @@ class TestGibbsFit:
         assert np.array_equal(d1.mu, d2.mu)
         assert np.array_equal(d1.gamma, d2.gamma)
 
+    def test_init_dimensions_checked(self, rng, hyper):
+        ds, _ = simulate(SimScenario(I=6, J=5, Q=1, lambda_true=(10.0,), seed=3))
+        for I, J, Q in ((6, 5, 2), (6, 4, 1)):
+            with pytest.raises(ValueError, match="init dimensions"):
+                gibbs.gibbs_fit(ds, ModelConfig(Q=1, hyper=hyper), n_chains=1,
+                                n_iter=5, n_burn=0, init=random_theta(rng, I, J, Q))
+
     def test_draws_are_post_processed(self, hyper):
         ds, _ = simulate(SimScenario(I=6, J=5, Q=1, lambda_true=(10.0,), seed=3))
         draws = gibbs.gibbs_fit(ds, ModelConfig(Q=1, hyper=hyper),

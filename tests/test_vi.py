@@ -168,6 +168,29 @@ class TestUpdateMainEffects:
             assert np.max(np.abs(means - o_means)) < 1e-12
             assert np.max(np.abs(variances - o_vars)) < 1e-12
 
+    def test_match_closed_form_away_from_point_masses(self, rng, hyper):
+        I, J = 8, 6
+        ds = random_dataset(rng, I, J, missing=0.2)
+        state = state_with_variances(random_theta(rng, I, J, 2), ds,
+                                     ModelConfig(Q=2, hyper=hyper), rng)
+        theta = vi.posterior_mean_theta(state)
+        resid = ds.y - mean_matrix(theta)[ds.rows, ds.cols]
+        tau = state.a_q / state.b_q
+        n_rows = np.bincount(ds.rows, minlength=I)
+        n_cols = np.bincount(ds.cols, minlength=J)
+        expected = {
+            vi.update_mu: ((tau * (resid + theta.mu).sum() + hyper.mu_mu / hyper.sigma2_mu)
+                           / (ds.n_obs * tau + 1.0 / hyper.sigma2_mu)),
+            vi.update_g: (tau * np.bincount(ds.rows, weights=resid + theta.g[ds.rows])
+                          / (n_rows * tau + 1.0 / hyper.sigma2_g)),
+            vi.update_e: (tau * np.bincount(ds.cols, weights=resid + theta.e[ds.cols])
+                          / (n_cols * tau + 1.0 / hyper.sigma2_e)),
+        }
+        for update, want in expected.items():
+            work = state.copy()
+            means, _ = update(work, ds, hyper, vi.expectations(work))
+            assert np.max(np.abs(means - want)) < 1e-9
+
 
 class TestUpdateBilinear:
     def test_lambda_plugin_recovery(self, rng):
