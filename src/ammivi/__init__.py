@@ -11,8 +11,7 @@ from .model import (Dataset, Hyperparams, ModelConfig, ThetaPoint, cell_counts,
                     default_hyperparams, load_csv, load_theta_csv, mean_matrix,
                     model_mean, post_process, write_csv, write_theta_csv)
 from .simulate import SimScenario, scenario_grid
-from .statsmath import (ChainSet, TruncNormalParams, gelman_rubin,
-                        orthonormalize_interaction, sample_trunc_normal,
+from .statsmath import (gelman_rubin, orthonormalize_interaction, sample_trunc_normal,
                         trunc_normal_moments)
 from .vi import (ExpectationCache, FitResult, VariationalState, elbo, fit,
                  init_state, posterior_mean_theta)

@@ -10,13 +10,10 @@ import numpy as np
 from . import gibbs, simulate, vi
 from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import Dataset, ModelConfig, default_hyperparams, mean_matrix, write_rows
-from .statsmath import TruncNormalParams, sample_trunc_normal
+from .model import (Dataset, DimensionMismatchError, ModelConfig, default_hyperparams,
+                    mean_matrix, write_rows)
+from .statsmath import sample_trunc_normal
 from .vi import FitResult
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -42,12 +39,10 @@ def _vi_parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
     gamma = st.mu_q_gamma + np.sqrt(st.Sigma_q_gamma) * rng.standard_normal((n_draws, I, Q))
     delta = st.mu_q_delta + np.sqrt(st.Sigma_q_delta) * rng.standard_normal((n_draws, J, Q))
     for q in range(Q):
-        lam[:, q] = sample_trunc_normal(
-            rng, TruncNormalParams(float(st.mu_q_lambda[q]), float(st.Sigma_q_lambda[q])),
-            size=n_draws)
-        gamma[:, 0, q] = sample_trunc_normal(
-            rng, TruncNormalParams(float(st.mu_q_gamma[0, q]), float(st.Sigma_q_gamma[0, q])),
-            size=n_draws)
+        lam[:, q] = sample_trunc_normal(rng, st.mu_q_lambda[q], st.Sigma_q_lambda[q],
+                                        size=n_draws)
+        gamma[:, 0, q] = sample_trunc_normal(rng, st.mu_q_gamma[0, q], st.Sigma_q_gamma[0, q],
+                                             size=n_draws)
     sigma2 = 1.0 / rng.gamma(st.a_q, 1.0 / st.b_q, n_draws)
     return mu, g, e, lam, gamma, delta, sigma2
 

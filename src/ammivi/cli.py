@@ -15,14 +15,17 @@ import numpy as np
 
 from . import analysis, gibbs, simulate, vi
 from .freqfit import frequentist_fit
-from .model import (Hyperparams, ModelConfig, ValidationError, default_hyperparams,
-                    load_csv, load_theta_csv, mean_matrix, write_csv, write_rows,
-                    write_theta_csv)
+from .model import (DimensionMismatchError, Hyperparams, ModelConfig, ValidationError,
+                    default_hyperparams, load_csv, load_theta_csv, mean_matrix, write_csv,
+                    write_rows, write_theta_csv)
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 EXIT_DIMENSION = 5
+
+# CSV parameter names that differ from the ThetaPoint field name
+_CSV_NAMES = {"lam": "lambda"}
 
 
 def _parse_hyper(pairs, dataset) -> Hyperparams:
@@ -147,12 +150,11 @@ def run_fit_mcmc(args) -> int:
     out = _outdir(args)
     summary = gibbs.summarize(draws)
     rows = []
-    for name, label in (("mu", "mu"), ("g", "g"), ("e", "e"), ("lam", "lambda"),
-                        ("sigma2", "sigma2")):
+    for name in ("mu", "g", "e", "lam", "sigma2"):
         stats = np.column_stack([np.atleast_1d(summary[name][s])
                                  for s in ("mean", "q05", "q50", "q95")])
         scalar = name in ("mu", "sigma2")
-        rows += [(label, "" if scalar else k + 1, "", *values)
+        rows += [(_CSV_NAMES.get(name, name), "" if scalar else k + 1, "", *values)
                  for k, values in enumerate(stats)]
     write_rows(out / "mcmc_summary.csv",
                ["parameter", "index1", "index2", "mean", "q05", "q50", "q95"], rows)
@@ -161,10 +163,11 @@ def run_fit_mcmc(args) -> int:
     if draws.n_chains >= 2:
         rhat_rows = []
         for name, values in gibbs.rhat_table(draws).items():
+            label = _CSV_NAMES.get(name, name)
             if values.ndim:
-                rhat_rows += [(name, k + 1, v) for k, v in enumerate(values)]
+                rhat_rows += [(label, k + 1, v) for k, v in enumerate(values)]
             else:
-                rhat_rows.append((name, "", float(values)))
+                rhat_rows.append((label, "", float(values)))
         write_rows(out / "rhat.csv", ["parameter", "index", "rhat"], rhat_rows)
     if args.save_draws:
         write_rows(out / "draws_scalar.csv", ["chain", "iteration", "mu", "sigma2"],
@@ -188,9 +191,6 @@ def run_predict(args) -> int:
 def run_compare(args) -> int:
     dataset = load_csv(args.input)
     config = _model_config(args, dataset)
-    if args.mcmc_q is not None and args.mcmc_q != args.q:
-        raise analysis.DimensionMismatchError(
-            f"--mcmc-q {args.mcmc_q} differs from --q {args.q}")
     # Gibbs first: gibbs_fit rejects bad sizes before either fit does any work
     draws = gibbs.gibbs_fit(dataset, config, n_chains=args.chains,
                             n_iter=args.iters, n_burn=args.burn)
@@ -341,8 +341,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = add_parser("compare", help="fit both ways and compare posteriors",
                    parents=[input_flag, chain_flags])
-    p.add_argument("--mcmc-q", type=int, default=None,
-                   help="Q for the MCMC side; must equal --q (default: --q)")
     _add_common(p)
     p.set_defaults(func=run_compare)
 
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
         config_defaults = None if config_path is None else _read_config_file(config_path)
         args = build_parser(config_defaults).parse_args(argv)
         return args.func(args)
-    except analysis.DimensionMismatchError as exc:
+    except DimensionMismatchError as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except vi.DivergenceError as exc:

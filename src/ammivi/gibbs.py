@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .freqfit import frequentist_fit
-from .model import (Dataset, Hyperparams, ModelConfig, ThetaPoint, ValidationError,
-                    post_process)
-from .statsmath import ChainSet, TruncNormalParams, gelman_rubin, sample_trunc_normal
+from .model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint,
+                    ValidationError, post_process)
+from .statsmath import gelman_rubin, sample_trunc_normal
 
 # the blocks of a parameter point, stored draw by draw in PosteriorDraws
 DRAW_FIELDS = tuple(f.name for f in fields(ThetaPoint))
@@ -190,7 +190,7 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     hyper = config.hyper
     base = init if init is not None else frequentist_fit(dataset, Q)
     if base.g.size != I or base.e.size != J or base.n_components != Q:
-        raise ValueError("init dimensions do not match dataset/config")
+        raise DimensionMismatchError("init dimensions do not match dataset/config")
     store = {name: np.empty((n_chains, n_iter, *np.shape(getattr(base, name))))
              for name in DRAW_FIELDS}
 
@@ -210,13 +210,12 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
             for q in range(Q):
                 loc, var = _cond_lambda(theta, dataset, hyper, q)
                 lam = theta.lam.copy()
-                lam[q] = sample_trunc_normal(rng, TruncNormalParams(loc, var))
+                lam[q] = sample_trunc_normal(rng, loc, var)
                 theta = replace(theta, lam=lam)
 
                 locs, variances = _cond_gamma(theta, dataset, hyper, q)
                 gamma = theta.gamma.copy()
-                gamma[0, q] = sample_trunc_normal(
-                    rng, TruncNormalParams(float(locs[0]), float(variances[0])))
+                gamma[0, q] = sample_trunc_normal(rng, locs[0], variances[0])
                 gamma[1:, q] = locs[1:] + np.sqrt(variances[1:]) * rng.standard_normal(I - 1)
                 theta = replace(theta, gamma=gamma)
 
@@ -240,25 +239,17 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
 def rhat_table(draws: PosteriorDraws) -> dict[str, np.ndarray]:
     """Split-chain R-hat per scalar parameter, on post-burn-in draws."""
     out: dict[str, np.ndarray] = {
-        "mu": np.array(gelman_rubin(ChainSet(draws.kept("mu")))),
-        "sigma2": np.array(gelman_rubin(ChainSet(draws.kept("sigma2")))),
+        "mu": np.array(gelman_rubin(draws.kept("mu"))),
+        "sigma2": np.array(gelman_rubin(draws.kept("sigma2"))),
     }
     for name in ("g", "e", "lam"):
         arr = draws.kept(name)
-        out[name] = np.array([gelman_rubin(ChainSet(arr[:, :, k]))
-                              for k in range(arr.shape[2])])
+        out[name] = np.array([gelman_rubin(arr[:, :, k]) for k in range(arr.shape[2])])
     return out
 
 
 def posterior_mean_theta(draws: PosteriorDraws) -> ThetaPoint:
-    return ThetaPoint(
-        mu=float(draws.flat("mu").mean()),
-        g=draws.flat("g").mean(axis=0),
-        e=draws.flat("e").mean(axis=0),
-        lam=draws.flat("lam").mean(axis=0),
-        gamma=draws.flat("gamma").mean(axis=0),
-        delta=draws.flat("delta").mean(axis=0),
-        sigma2=float(draws.flat("sigma2").mean()))
+    return ThetaPoint(**{name: draws.flat(name).mean(axis=0) for name in DRAW_FIELDS})
 
 
 def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:

@@ -14,6 +14,10 @@ class ValidationError(ValueError):
     """Raised when input data violates the dataset contract."""
 
 
+class DimensionMismatchError(ValueError):
+    """Raised when a fit, draw set or starting point disagrees on I, J or Q."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Long-format observations over a possibly incomplete I x J grid.

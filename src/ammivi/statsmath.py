@@ -7,8 +7,6 @@ split-chain Gelman-Rubin diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import log_ndtr
 
@@ -24,47 +22,6 @@ class DegenerateInputError(ValueError):
     """Raised when an input is rank deficient or otherwise degenerate."""
 
 
-@dataclass(frozen=True)
-class TruncNormalParams:
-    """Parameters of a normal law truncated to (lower_bound, inf).
-
-    `location` and `scale_sq` are the mean and variance of the parent
-    (untruncated) normal, not of the truncated law.
-    """
-
-    location: float
-    scale_sq: float
-    lower_bound: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.location) and np.isfinite(self.scale_sq)
-                and np.isfinite(self.lower_bound)):
-            raise ValueError("truncated-normal parameters must be finite")
-        if self.scale_sq <= 0:
-            raise ValueError(f"scale_sq must be > 0, got {self.scale_sq}")
-
-
-@dataclass(frozen=True)
-class ChainSet:
-    """Scalar MCMC draws organized as (n_chains, n_iter)."""
-
-    draws: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.draws, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("draws must be a 2-d array (chains x iterations)")
-        object.__setattr__(self, "draws", arr)
-
-    @property
-    def n_chains(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def n_iter(self) -> int:
-        return self.draws.shape[1]
-
-
 def _hazard(alpha):
     """phi(alpha) / (1 - Phi(alpha)), stable for large alpha via log Phi."""
     alpha = np.asarray(alpha, dtype=float)
@@ -72,33 +29,46 @@ def _hazard(alpha):
     return np.exp(log_pdf - log_ndtr(-alpha))
 
 
-def trunc_normal_moments(p: TruncNormalParams) -> tuple[float, float]:
-    """Mean and variance of N(location, scale_sq) truncated to x > lower_bound."""
-    s = np.sqrt(p.scale_sq)
-    alpha = (p.lower_bound - p.location) / s
+def _check_trunc_normal(location, scale_sq) -> None:
+    if not (np.isfinite(location) and np.isfinite(scale_sq)):
+        raise ValueError("truncated-normal parameters must be finite")
+    if scale_sq <= 0:
+        raise ValueError(f"scale_sq must be > 0, got {scale_sq}")
+
+
+def trunc_normal_moments(location: float, scale_sq: float) -> tuple[float, float]:
+    """Mean and variance of N(location, scale_sq) truncated to x > 0.
+
+    `location` and `scale_sq` are the mean and variance of the parent
+    (untruncated) normal, not of the truncated law.
+    """
+    _check_trunc_normal(location, scale_sq)
+    s = np.sqrt(scale_sq)
+    alpha = -location / s
     if alpha <= _TAIL_SWITCH:
         h = float(_hazard(alpha))
-        mean = p.location + s * h
-        var = p.scale_sq * (1.0 + alpha * h - h * h)
+        mean = location + s * h
+        var = scale_sq * (1.0 + alpha * h - h * h)
     else:
         # deep right tail: h ~ a(1 + u - 2u^2 + 10u^3), Var/s^2 ~ u - 6u^2 + 50u^3
         u = 1.0 / (alpha * alpha)
         h = alpha * (1.0 + u * (1.0 - u * (2.0 - 10.0 * u)))
-        mean = p.location + s * h
-        var = p.scale_sq * u * (1.0 - u * (6.0 - 50.0 * u))
+        mean = location + s * h
+        var = scale_sq * u * (1.0 - u * (6.0 - 50.0 * u))
     return float(mean), float(var)
 
 
-def sample_trunc_normal(rng: np.random.Generator, p: TruncNormalParams,
+def sample_trunc_normal(rng: np.random.Generator, location: float, scale_sq: float,
                         size: int | None = None):
-    """Draw from N(location, scale_sq) truncated to x > lower_bound.
+    """Draw from N(location, scale_sq) truncated to x > 0.
 
     Uses plain rejection from the parent normal when the kept mass is
     large, and Robert's translated-exponential rejection in the tail.
     """
+    _check_trunc_normal(location, scale_sq)
     n = 1 if size is None else int(size)
-    s = np.sqrt(p.scale_sq)
-    alpha = (p.lower_bound - p.location) / s
+    s = np.sqrt(scale_sq)
+    alpha = -location / s
 
     out = np.empty(n)
     filled = 0
@@ -122,9 +92,9 @@ def sample_trunc_normal(rng: np.random.Generator, p: TruncNormalParams,
             out[filled:filled + take] = z[:take]
             filled += take
 
-    draws = p.location + s * out
+    draws = location + s * out
     # guard against round-off landing exactly on the bound
-    np.maximum(draws, np.nextafter(p.lower_bound, np.inf), out=draws)
+    np.maximum(draws, np.nextafter(0.0, np.inf), out=draws)
     if size is None:
         return float(draws[0])
     return draws
@@ -189,18 +159,22 @@ def centered_svd(mat: np.ndarray, Q: int):
     return (row, col, grand), svals, gamma, delta
 
 
-def gelman_rubin(chains: ChainSet) -> float:
-    """Split-chain potential scale reduction factor R-hat.
+def gelman_rubin(draws) -> float:
+    """Split-chain potential scale reduction factor R-hat of scalar draws.
 
-    Each chain is halved, so m = 2 * n_chains sequences enter the
-    within/between variance comparison.
+    `draws` is (n_chains, n_iter). Each chain is halved, so
+    m = 2 * n_chains sequences enter the within/between variance comparison.
     """
-    if chains.n_chains < 2:
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2:
+        raise ValueError("draws must be a 2-d array (chains x iterations)")
+    n_chains, n_iter = draws.shape
+    if n_chains < 2:
         raise ValueError("need at least 2 chains")
-    if chains.n_iter < 4:
+    if n_iter < 4:
         raise ValueError("need at least 4 iterations to split")
-    half = chains.n_iter // 2
-    splits = np.vstack([chains.draws[:, :half], chains.draws[:, half:2 * half]])
+    half = n_iter // 2
+    splits = np.vstack([draws[:, :half], draws[:, half:2 * half]])
 
     within = splits.var(axis=1, ddof=1)
     w = within.mean()

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr
 
-from .model import Dataset, Hyperparams, ModelConfig, ThetaPoint, post_process
-from .statsmath import TruncNormalParams, fix_signs, trunc_normal_moments
+from .model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint,
+                    post_process)
+from .statsmath import fix_signs, trunc_normal_moments
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -109,10 +110,10 @@ class FitResult:
 
 
 def _trunc_moments_vec(locs, variances):
-    means = np.empty_like(np.atleast_1d(np.asarray(locs, dtype=float)))
+    means = np.empty(len(locs))
     var_out = np.empty_like(means)
-    for k, (m, v) in enumerate(zip(np.atleast_1d(locs), np.atleast_1d(variances))):
-        means[k], var_out[k] = trunc_normal_moments(TruncNormalParams(float(m), float(v)))
+    for k, (m, v) in enumerate(zip(locs, variances)):
+        means[k], var_out[k] = trunc_normal_moments(m, v)
     return means, var_out
 
 
@@ -162,7 +163,7 @@ def init_state(theta: ThetaPoint, dataset: Dataset, config: ModelConfig
     """
     I, J, Q = dataset.n_genotypes, dataset.n_environments, config.Q
     if theta.g.size != I or theta.e.size != J or theta.n_components != Q:
-        raise ValueError("theta dimensions do not match dataset/config")
+        raise DimensionMismatchError("theta dimensions do not match dataset/config")
     lam = np.maximum(theta.lam.astype(float), 1e-6)
     gamma, delta = fix_signs(theta.gamma.astype(float), theta.delta.astype(float))
     gamma[0, gamma[0] == 0.0] = 1e-6
@@ -252,7 +253,7 @@ def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
     prec = cache.tilde_tau * gd_sq.sum() + 1.0 / hyper.sigma2_lambda
     loc = cache.tilde_tau * (gd @ resid) / prec
     state.mu_q_lambda[q], state.Sigma_q_lambda[q] = loc, 1.0 / prec
-    mean, var = trunc_normal_moments(TruncNormalParams(float(loc), float(1.0 / prec)))
+    mean, var = trunc_normal_moments(loc, 1.0 / prec)
     cache.tilde_lambda[q], cache.tilde_lambda_sq[q] = mean, var + mean ** 2
     return float(loc), float(1.0 / prec)
 
@@ -276,7 +277,7 @@ def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
     state.Sigma_q_gamma[:, q] = 1.0 / prec
     cache.tilde_gamma[:, q] = loc
     cache.tilde_gamma_sq[:, q] = loc ** 2 + 1.0 / prec
-    mean0, var0 = trunc_normal_moments(TruncNormalParams(float(loc[0]), float(1.0 / prec[0])))
+    mean0, var0 = trunc_normal_moments(loc[0], 1.0 / prec[0])
     cache.tilde_gamma[0, q] = mean0
     cache.tilde_gamma_sq[0, q] = var0 + mean0 ** 2
     return loc, 1.0 / prec
@@ -337,7 +338,7 @@ def _neg_kl_gamma(a_q, b_q, a, b):
 def _neg_kl_trunc(m, v, prior_var):
     """E_q[log p] - E_q[log q] for q = N(m, v) truncated to x > 0 and
     p the positive half of N(0, prior_var)."""
-    mean_t, var_t = trunc_normal_moments(TruncNormalParams(float(m), float(v)))
+    mean_t, var_t = trunc_normal_moments(m, v)
     e_x2 = var_t + mean_t ** 2
     e_dev2 = var_t + (mean_t - m) ** 2
     s = np.sqrt(v)

@@ -19,8 +19,7 @@ from ammivi.freqfit import frequentist_fit
 from ammivi.gibbs import mcmc_short_init
 from ammivi.model import ModelConfig, default_hyperparams, mean_matrix
 from ammivi.simulate import SimScenario, scenario_by_name, simulate, with_seed
-from ammivi.statsmath import (ChainSet, TruncNormalParams, gelman_rubin,
-                              orthonormalize_interaction, trunc_normal_moments)
+from ammivi.statsmath import gelman_rubin, orthonormalize_interaction, trunc_normal_moments
 from conftest import random_dataset, random_theta
 from test_statsmath import quad_moments
 
@@ -216,7 +215,7 @@ def test_criterion_8_init_study():
 def test_criterion_9_numerical_primitives(rng):
     # truncated-normal moments against adaptive quadrature
     for location in np.linspace(-8.0, 8.0, 17):
-        mean, var = trunc_normal_moments(TruncNormalParams(float(location), 1.0))
+        mean, var = trunc_normal_moments(float(location), 1.0)
         om, ov = quad_moments(float(location), 1.0)
         assert abs(mean - om) < 1e-8
         assert abs(var - ov) < 1e-8
@@ -243,7 +242,7 @@ def test_criterion_9_numerical_primitives(rng):
     w = seqs.var(axis=1, ddof=1).mean()
     b = half * seqs.mean(axis=1).var(ddof=1)
     want = np.sqrt(((half - 1) / half * w + b / half) / w)
-    assert gelman_rubin(ChainSet(chains)) == pytest.approx(want, abs=1e-12)
+    assert gelman_rubin(chains) == pytest.approx(want, abs=1e-12)
 
 
 @criterion(10, "post-processing never moves a fitted cell mean by more than 1e-10")

@@ -127,6 +127,9 @@ class TestFits:
             assert (out / name).exists()
         assert len(read_rows(out / "draws_scalar.csv")) == 1 + 2 * 60
         assert_numeric_csvs(out, 4)
+        summary_names = {row[0] for row in read_rows(out / "mcmc_summary.csv")[1:]}
+        rhat_names = {row[0] for row in read_rows(out / "rhat.csv")[1:]}
+        assert rhat_names <= summary_names
 
 
 class TestPredictAndCompare:
@@ -148,15 +151,6 @@ class TestPredictAndCompare:
         assert (out / "compare.txt").exists()
         assert_numeric_csvs(out, 1)
 
-    def test_compare_mismatched_q_exit_code(self, sim_dir, tmp_path, monkeypatch):
-        forbid_calls(monkeypatch, (vi, "fit"), (gibbs, "gibbs_fit"))
-        out = tmp_path / "cmp"
-        assert main(["compare", "--input", str(sim_dir / "data.csv"),
-                     "--q", "1", "--mcmc-q", "2", "--chains", "2",
-                     "--iters", "30", "--burn", "10",
-                     "--output-dir", str(out)]) == 5
-        assert not out.exists()
-
     def test_compare_bad_sizes_rejected_before_fitting(self, sim_dir, tmp_path,
                                                        monkeypatch):
         # gibbs_fit itself runs: its size check is the one under test
@@ -169,6 +163,16 @@ class TestPredictAndCompare:
 
 
 class TestExitCodes:
+    def test_init_file_q_mismatch_exit_code(self, sim_dir, tmp_path):
+        freq_out = tmp_path / "f"
+        assert main(["fit-freq", "--input", str(sim_dir / "data.csv"), "--q", "1",
+                     "--output-dir", str(freq_out)]) == 0
+        out = tmp_path / "vi"
+        assert main(["fit-vi", "--input", str(sim_dir / "data.csv"), "--q", "2",
+                     "--init", "file", "--init-file", str(freq_out / "theta.csv"),
+                     "--output-dir", str(out)]) == 5
+        assert not out.exists()
+
     def test_duplicate_cell_validation(self, tmp_path):
         bad = tmp_path / "dup.csv"
         bad.write_text(DUP_CSV)

@@ -6,7 +6,7 @@ import pytest
 from ammivi import gibbs, vi
 from ammivi.model import Hyperparams, ModelConfig, ThetaPoint
 from ammivi.simulate import SimScenario, simulate
-from ammivi.statsmath import ChainSet, gelman_rubin
+from ammivi.statsmath import gelman_rubin
 from conftest import complete_dataset, random_dataset, random_theta
 
 
@@ -122,7 +122,7 @@ class TestGibbsFit:
         sigma2 = draws.flat("sigma2").mean()
         assert 0.8 <= sigma2 <= 1.2
         for k in range(6):
-            assert gelman_rubin(ChainSet(draws.kept("g")[:, :, k])) < 1.05
+            assert gelman_rubin(draws.kept("g")[:, :, k]) < 1.05
 
     def test_q0_matches_analytic_posterior(self):
         """Q=0 posterior means vs a tau-quadrature linear-model oracle.

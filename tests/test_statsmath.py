@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ammivi.statsmath import (ChainSet, DegenerateInputError, TruncNormalParams,
-                              fix_signs, gelman_rubin, orthonormalize_interaction,
-                              sample_trunc_normal, trunc_normal_moments)
+from ammivi.statsmath import (DegenerateInputError, fix_signs, gelman_rubin,
+                              orthonormalize_interaction, sample_trunc_normal,
+                              trunc_normal_moments)
 
 
 def quad_moments(location, scale_sq):
@@ -37,17 +37,17 @@ def quad_moments(location, scale_sq):
 
 class TestTruncNormalMoments:
     def test_half_normal_closed_form(self):
-        mean, var = trunc_normal_moments(TruncNormalParams(0.0, 1.0))
+        mean, var = trunc_normal_moments(0.0, 1.0)
         assert mean == pytest.approx(np.sqrt(2.0 / np.pi), abs=1e-12)
         assert var == pytest.approx(1.0 - 2.0 / np.pi, abs=1e-12)
 
     def test_negligible_truncation(self):
-        mean, var = trunc_normal_moments(TruncNormalParams(10.0, 1.0))
+        mean, var = trunc_normal_moments(10.0, 1.0)
         assert mean == pytest.approx(10.0, abs=1e-9)
         assert var == pytest.approx(1.0, abs=1e-9)
 
     def test_deep_left_tail_vs_quadrature(self):
-        mean, var = trunc_normal_moments(TruncNormalParams(-5.0, 1.0))
+        mean, var = trunc_normal_moments(-5.0, 1.0)
         om, ov = quad_moments(-5.0, 1.0)
         assert mean == pytest.approx(om, abs=1e-8)
         assert var == pytest.approx(ov, abs=1e-8)
@@ -55,8 +55,7 @@ class TestTruncNormalMoments:
     def test_location_grid_vs_quadrature(self):
         for location in np.linspace(-8.0, 8.0, 33):
             for scale_sq in (0.25, 1.0, 4.0):
-                mean, var = trunc_normal_moments(
-                    TruncNormalParams(float(location), scale_sq))
+                mean, var = trunc_normal_moments(float(location), scale_sq)
                 om, ov = quad_moments(float(location), scale_sq)
                 assert abs(mean - om) < 1e-8, (location, scale_sq)
                 assert abs(var - ov) < 1e-8, (location, scale_sq)
@@ -65,21 +64,27 @@ class TestTruncNormalMoments:
         # just below and above the tail-series switch, each branch must
         # agree with the quadrature oracle
         for location in (-24.9, -25.1, -30.0):
-            mean, var = trunc_normal_moments(TruncNormalParams(location, 1.0))
+            mean, var = trunc_normal_moments(location, 1.0)
             om, ov = quad_moments(location, 1.0)
             assert mean == pytest.approx(om, rel=1e-6)
             assert var == pytest.approx(ov, rel=1e-5)
 
-    def test_rejects_bad_params(self):
+    def test_rejects_bad_params(self, rng):
         with pytest.raises(ValueError):
-            TruncNormalParams(0.0, 0.0)
+            trunc_normal_moments(0.0, 0.0)
         with pytest.raises(ValueError):
-            TruncNormalParams(np.nan, 1.0)
+            trunc_normal_moments(np.nan, 1.0)
+        with pytest.raises(ValueError):
+            trunc_normal_moments(0.0, np.inf)
+        with pytest.raises(ValueError):
+            sample_trunc_normal(rng, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            sample_trunc_normal(rng, np.nan, 1.0)
 
     @given(location=st.floats(-30.0, 30.0), scale_sq=st.floats(0.01, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_mean_above_location_and_variance_reduced(self, location, scale_sq):
-        mean, var = trunc_normal_moments(TruncNormalParams(location, scale_sq))
+        mean, var = trunc_normal_moments(location, scale_sq)
         assert np.isfinite(mean) and np.isfinite(var)
         # strict inequalities hold mathematically; allow float rounding to
         # equality when the truncated mass is negligible
@@ -89,30 +94,28 @@ class TestTruncNormalMoments:
 
 class TestSampleTruncNormal:
     def test_support(self, rng):
-        draws = sample_trunc_normal(rng, TruncNormalParams(0.0, 1.0), size=1000)
+        draws = sample_trunc_normal(rng, 0.0, 1.0, size=1000)
         assert np.all(draws > 0)
-        assert sample_trunc_normal(rng, TruncNormalParams(-3.0, 4.0)) > 0
+        assert sample_trunc_normal(rng, -3.0, 4.0) > 0
 
     def test_half_normal_mean(self, rng):
         n = 10 ** 6
-        draws = sample_trunc_normal(rng, TruncNormalParams(0.0, 1.0), size=n)
-        mean, var = trunc_normal_moments(TruncNormalParams(0.0, 1.0))
+        draws = sample_trunc_normal(rng, 0.0, 1.0, size=n)
+        mean, var = trunc_normal_moments(0.0, 1.0)
         se = np.sqrt(var / n)
         assert abs(draws.mean() - mean) < 3 * se
 
     def test_deep_tail_matches_quadrature(self, rng):
         n = 10 ** 5
-        p = TruncNormalParams(-8.0, 1.0)
-        draws = sample_trunc_normal(rng, p, size=n)
+        draws = sample_trunc_normal(rng, -8.0, 1.0, size=n)
         om, ov = quad_moments(-8.0, 1.0)
         assert abs(draws.mean() - om) < 3 * np.sqrt(ov / n)
 
     def test_moment_match_various_params(self, rng):
         n = 200_000
         for loc, v in [(-2.0, 0.5), (1.5, 2.0), (-0.3, 1.0)]:
-            p = TruncNormalParams(loc, v)
-            draws = sample_trunc_normal(rng, p, size=n)
-            mean, var = trunc_normal_moments(p)
+            draws = sample_trunc_normal(rng, loc, v, size=n)
+            mean, var = trunc_normal_moments(loc, v)
             assert abs(draws.mean() - mean) < 3 * np.sqrt(var / n)
 
 
@@ -188,12 +191,12 @@ class TestOrthonormalizeInteraction:
 class TestGelmanRubin:
     def test_well_mixed_chains(self, rng):
         draws = rng.standard_normal(4000).reshape(4, 1000)
-        assert gelman_rubin(ChainSet(draws)) < 1.01
+        assert gelman_rubin(draws) < 1.01
 
     def test_separated_chains(self, rng):
         draws = np.vstack([rng.standard_normal(500),
                            rng.standard_normal(500) + 100.0])
-        assert gelman_rubin(ChainSet(draws)) > 1.1
+        assert gelman_rubin(draws) > 1.1
 
     def test_matches_scripted_formula(self, rng):
         draws = rng.normal(0.0, 1.0, (3, 40)) + np.array([[0.0], [0.5], [-0.2]])
@@ -205,20 +208,23 @@ class TestGelmanRubin:
         w = np.mean([s.var(ddof=1) for s in seqs])
         b = n * means.var(ddof=1)
         expected = np.sqrt(((n - 1) / n * w + b / n) / w)
-        assert gelman_rubin(ChainSet(draws)) == pytest.approx(expected, abs=1e-12)
+        assert gelman_rubin(draws) == pytest.approx(expected, abs=1e-12)
 
     @given(scale=st.floats(0.1, 50.0), shift=st.floats(-100.0, 100.0))
     @settings(max_examples=50, deadline=None)
     def test_affine_invariance(self, scale, shift):
         draws = np.random.default_rng(7).normal(0.0, 1.0, (4, 60))
-        base = gelman_rubin(ChainSet(draws))
-        moved = gelman_rubin(ChainSet(draws * scale + shift))
+        base = gelman_rubin(draws)
+        moved = gelman_rubin(draws * scale + shift)
         assert moved == pytest.approx(base, rel=1e-9)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            gelman_rubin(ChainSet(np.zeros((1, 100))))
+            gelman_rubin(np.zeros((1, 100)))
         with pytest.raises(ValueError):
-            gelman_rubin(ChainSet(np.ones((4, 100))))
+            gelman_rubin(np.ones((4, 100)))
         with pytest.raises(ValueError):
-            gelman_rubin(ChainSet(np.zeros((4, 3))))
+            gelman_rubin(np.zeros((4, 3)))
+        for shape in ((100,), (4, 100, 2)):
+            with pytest.raises(ValueError, match="2-d"):
+                gelman_rubin(np.random.default_rng(0).standard_normal(shape))

@@ -8,7 +8,7 @@ from ammivi import gibbs, vi
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
                           mean_matrix)
 from ammivi.simulate import SimScenario, simulate
-from ammivi.statsmath import TruncNormalParams, sample_trunc_normal
+from ammivi.statsmath import sample_trunc_normal
 from conftest import complete_dataset, random_dataset, random_theta
 
 
@@ -48,11 +48,10 @@ def sample_from_state(state, n_draws, rng):
     lam = np.empty((n_draws, Q))
     for q in range(Q):
         lam[:, q] = sample_trunc_normal(
-            rng, TruncNormalParams(float(state.mu_q_lambda[q]),
-                                   float(state.Sigma_q_lambda[q])), size=n_draws)
+            rng, float(state.mu_q_lambda[q]), float(state.Sigma_q_lambda[q]), size=n_draws)
         gamma[:, 0, q] = sample_trunc_normal(
-            rng, TruncNormalParams(float(state.mu_q_gamma[0, q]),
-                                   float(state.Sigma_q_gamma[0, q])), size=n_draws)
+            rng, float(state.mu_q_gamma[0, q]), float(state.Sigma_q_gamma[0, q]),
+            size=n_draws)
     tau = rng.gamma(state.a_q, 1.0 / state.b_q, n_draws)
     return mu, g, e, lam, gamma, delta, tau
 
