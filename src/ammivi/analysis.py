@@ -10,8 +10,8 @@ import numpy as np
 from . import gibbs, simulate, vi
 from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import (Dataset, DimensionMismatchError, ModelConfig, default_hyperparams,
-                    mean_matrix, write_rows)
+from .model import (THETA_FIELDS, Dataset, DimensionMismatchError, ModelConfig,
+                    default_hyperparams, mean_matrix, param_rows, write_rows)
 from .statsmath import sample_trunc_normal
 from .vi import FitResult
 
@@ -74,13 +74,11 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
     else:
         if fit.g.shape[2] != I or fit.e.shape[2] != J:
             raise DimensionMismatchError("draws do not cover the dataset grid")
-        mu, g, e = fit.flat("mu"), fit.flat("g"), fit.flat("e")
-        lam, gamma, delta = fit.flat("lam"), fit.flat("gamma"), fit.flat("delta")
-        sigma2 = fit.flat("sigma2")
-        if mu.size > n_draws:
-            pick = rng.choice(mu.size, size=n_draws, replace=False)
-            mu, g, e, sigma2 = mu[pick], g[pick], e[pick], sigma2[pick]
-            lam, gamma, delta = lam[pick], gamma[pick], delta[pick]
+        blocks = [fit.flat(name) for name in THETA_FIELDS]
+        if len(blocks[0]) > n_draws:
+            pick = rng.choice(len(blocks[0]), size=n_draws, replace=False)
+            blocks = [block[pick] for block in blocks]
+        mu, g, e, lam, gamma, delta, sigma2 = blocks
 
     cells = _cell_mean_draws(mu, g, e, lam, gamma, delta)
     if include_noise:
@@ -154,8 +152,6 @@ class ComparisonReport:
 
 def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> ComparisonReport:
     """Per-parameter means/sds of the two fitters plus speed and RMSE."""
-    from .gibbs import posterior_mean_theta
-
     Q = vi.state.n_components
     if (mcmc.n_components != Q or mcmc.g.shape[2] != dataset.n_genotypes
             or mcmc.e.shape[2] != dataset.n_environments
@@ -171,22 +167,19 @@ def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> Comparison
         rows.append((name, float(vi_mean), mcmc_mean, float(vi_sd),
                      float(np.std(mcmc_draws)), abs(vi_mean - mcmc_mean)))
 
-    add("mu", theta_vi.mu, mcmc.flat("mu"), np.sqrt(st.Sigma_q_mu))
-    for i in range(dataset.n_genotypes):
-        add(f"g[{i + 1}]", theta_vi.g[i], mcmc.flat("g")[:, i], np.sqrt(st.Sigma_q_g[i]))
-    for j in range(dataset.n_environments):
-        add(f"e[{j + 1}]", theta_vi.e[j], mcmc.flat("e")[:, j], np.sqrt(st.Sigma_q_e[j]))
-    for q in range(Q):
-        add(f"lambda[{q + 1}]", theta_vi.lam[q], mcmc.flat("lam")[:, q],
-            np.sqrt(st.Sigma_q_lambda[q]))
     sig_sd = np.sqrt(st.b_q ** 2 / ((st.a_q - 1.0) ** 2 * (st.a_q - 2.0))) \
         if st.a_q > 2 else np.nan
-    add("sigma2", theta_vi.sigma2, mcmc.flat("sigma2"), sig_sd)
+    vi_sd = {"mu": np.sqrt(st.Sigma_q_mu), "g": np.sqrt(st.Sigma_q_g),
+             "e": np.sqrt(st.Sigma_q_e), "lam": np.sqrt(st.Sigma_q_lambda), "sigma2": sig_sd}
+    # each block's draws transposed, so an entry's index picks its draws
+    for name, i1, _, vi_mean, draws, sd in param_rows(
+            (f, getattr(theta_vi, f), mcmc.flat(f).T, vi_sd[f]) for f in vi_sd):
+        add(f"{name}[{i1}]" if i1 else name, vi_mean, draws, sd)
 
     return ComparisonReport(
         rows=rows,
         vi_rmse=in_sample_rmse(theta_vi, dataset),
-        mcmc_rmse=in_sample_rmse(posterior_mean_theta(mcmc), dataset),
+        mcmc_rmse=in_sample_rmse(gibbs.posterior_mean_theta(mcmc), dataset),
         vi_time=vi.wall_time, mcmc_time=mcmc.wall_time)
 
 

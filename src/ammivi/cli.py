@@ -15,17 +15,14 @@ import numpy as np
 
 from . import analysis, gibbs, simulate, vi
 from .freqfit import frequentist_fit
-from .model import (DimensionMismatchError, Hyperparams, ModelConfig, ValidationError,
-                    default_hyperparams, load_csv, load_theta_csv, mean_matrix, write_csv,
-                    write_rows, write_theta_csv)
+from .model import (THETA_FIELDS, DimensionMismatchError, Hyperparams, ModelConfig,
+                    ValidationError, default_hyperparams, load_csv, load_theta_csv, mean_matrix,
+                    param_rows, write_csv, write_rows, write_theta_csv)
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 EXIT_DIMENSION = 5
-
-# CSV parameter names that differ from the ThetaPoint field name
-_CSV_NAMES = {"lam": "lambda"}
 
 
 def _parse_hyper(pairs, dataset) -> Hyperparams:
@@ -65,23 +62,6 @@ def _initial_theta(args, dataset, config):
     if mode == "mcmc-short":
         return gibbs.mcmc_short_init(dataset, config)
     raise ValidationError(f"unknown init mode {mode!r}")
-
-
-def _state_rows(state: vi.VariationalState):
-    rows = [("mu", "", "", state.mu_q_mu, state.Sigma_q_mu)]
-    rows += [("g", i + 1, "", m, v) for i, (m, v) in
-             enumerate(zip(state.mu_q_g, state.Sigma_q_g))]
-    rows += [("e", j + 1, "", m, v) for j, (m, v) in
-             enumerate(zip(state.mu_q_e, state.Sigma_q_e))]
-    for q in range(state.n_components):
-        rows.append(("lambda", q + 1, "", state.mu_q_lambda[q], state.Sigma_q_lambda[q]))
-        rows += [("gamma", i + 1, q + 1, m, v) for i, (m, v) in
-                 enumerate(zip(state.mu_q_gamma[:, q], state.Sigma_q_gamma[:, q]))]
-        rows += [("delta", j + 1, q + 1, m, v) for j, (m, v) in
-                 enumerate(zip(state.mu_q_delta[:, q], state.Sigma_q_delta[:, q]))]
-    rows.append(("tau_shape", "", "", state.a_q, ""))
-    rows.append(("tau_rate", "", "", state.b_q, ""))
-    return rows
 
 
 def _scenario_from_args(args) -> simulate.SimScenario:
@@ -128,8 +108,11 @@ def run_fit_vi(args) -> int:
     result, _ = _fit_vi(args, dataset)
     out = _outdir(args)
     write_theta_csv(result.theta, out / "theta.csv")
+    state = result.state
     write_rows(out / "vi_state.csv", ["parameter", "index1", "index2", "mean", "variance"],
-               _state_rows(result.state))
+               [*param_rows((b, getattr(state, f"mu_q_{b}"), getattr(state, f"Sigma_q_{b}"))
+                            for b in vi.BLOCKS),
+                ("tau_shape", "", "", state.a_q, ""), ("tau_rate", "", "", state.b_q, "")])
     write_rows(out / "elbo_trace.csv", ["iteration", "elbo"], enumerate(result.elbo_trace))
     write_rows(out / "fit_summary.csv", ["key", "value"],
                [("converged", int(result.converged)), ("n_iter", result.n_iter),
@@ -149,26 +132,15 @@ def run_fit_mcmc(args) -> int:
                             n_iter=args.iters, n_burn=args.burn)
     out = _outdir(args)
     summary = gibbs.summarize(draws)
-    rows = []
-    for name in ("mu", "g", "e", "lam", "sigma2"):
-        stats = np.column_stack([np.atleast_1d(summary[name][s])
-                                 for s in ("mean", "q05", "q50", "q95")])
-        scalar = name in ("mu", "sigma2")
-        rows += [(_CSV_NAMES.get(name, name), "" if scalar else k + 1, "", *values)
-                 for k, values in enumerate(stats)]
-    write_rows(out / "mcmc_summary.csv",
-               ["parameter", "index1", "index2", "mean", "q05", "q50", "q95"], rows)
-
+    stats = ("mean", "q05", "q50", "q95")
+    write_rows(out / "mcmc_summary.csv", ["parameter", "index1", "index2", *stats],
+               param_rows((name, *(summary[name][s] for s in stats))
+                          for name in THETA_FIELDS if name not in ("gamma", "delta")))
     write_theta_csv(gibbs.posterior_mean_theta(draws), out / "theta.csv")
     if draws.n_chains >= 2:
-        rhat_rows = []
-        for name, values in gibbs.rhat_table(draws).items():
-            label = _CSV_NAMES.get(name, name)
-            if values.ndim:
-                rhat_rows += [(label, k + 1, v) for k, v in enumerate(values)]
-            else:
-                rhat_rows.append((label, "", float(values)))
-        write_rows(out / "rhat.csv", ["parameter", "index", "rhat"], rhat_rows)
+        write_rows(out / "rhat.csv", ["parameter", "index", "rhat"],
+                   ((name, index, value) for name, index, _, value
+                    in param_rows(gibbs.rhat_table(draws).items())))
     if args.save_draws:
         write_rows(out / "draws_scalar.csv", ["chain", "iteration", "mu", "sigma2"],
                    ((c + 1, t + 1, draws.mu[c, t], draws.sigma2[c, t])
@@ -362,10 +334,12 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         # string defaults are re-parsed by argparse with each flag's type,
         # so config values get the same conversion as command-line values;
         # explicit flags still override because they are parsed afterwards
-        for p in subparsers:
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in config_defaults.items()
-                              if k in known})
+        known = [{a.dest for a in p._actions} for p in subparsers]
+        unknown = sorted(set(config_defaults).difference(*known))
+        if unknown:
+            raise ValidationError(f"config key(s) no subcommand defines: {', '.join(unknown)}")
+        for p, dests in zip(subparsers, known):
+            p.set_defaults(**{k: v for k, v in config_defaults.items() if k in dests})
     return parser
 
 

@@ -9,17 +9,14 @@ cross-check the two derivations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .freqfit import frequentist_fit
-from .model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint,
-                    ValidationError, post_process)
+from .model import (THETA_FIELDS, Dataset, DimensionMismatchError, Hyperparams, ModelConfig,
+                    ThetaPoint, ValidationError, post_process)
 from .statsmath import gelman_rubin, sample_trunc_normal
-
-# the blocks of a parameter point, stored draw by draw in PosteriorDraws
-DRAW_FIELDS = tuple(f.name for f in fields(ThetaPoint))
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     if base.g.size != I or base.e.size != J or base.n_components != Q:
         raise DimensionMismatchError("init dimensions do not match dataset/config")
     store = {name: np.empty((n_chains, n_iter, *np.shape(getattr(base, name))))
-             for name in DRAW_FIELDS}
+             for name in THETA_FIELDS}
 
     for c in range(n_chains):
         rng = np.random.default_rng([config.seed, c])
@@ -230,7 +227,7 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
             # identifiable representative for reporting; the chain itself
             # keeps running on the unconstrained values
             rep = post_process(theta)
-            for name in DRAW_FIELDS:
+            for name in THETA_FIELDS:
                 store[name][c, t] = getattr(rep, name)
 
     return PosteriorDraws(**store, n_burn=n_burn, wall_time=time.perf_counter() - t0)
@@ -238,18 +235,17 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
 
 def rhat_table(draws: PosteriorDraws) -> dict[str, np.ndarray]:
     """Split-chain R-hat per scalar parameter, on post-burn-in draws."""
-    out: dict[str, np.ndarray] = {
-        "mu": np.array(gelman_rubin(draws.kept("mu"))),
-        "sigma2": np.array(gelman_rubin(draws.kept("sigma2"))),
-    }
-    for name in ("g", "e", "lam"):
-        arr = draws.kept(name)
-        out[name] = np.array([gelman_rubin(arr[:, :, k]) for k in range(arr.shape[2])])
+    out = {}
+    for name in ("mu", "sigma2", "g", "e", "lam"):
+        # chain and iteration axes last, so one entry's index picks its (chains x iter) draws
+        arr = np.moveaxis(draws.kept(name), (0, 1), (-2, -1))
+        out[name] = np.reshape([gelman_rubin(arr[idx]) for idx in np.ndindex(arr.shape[:-2])],
+                               arr.shape[:-2])
     return out
 
 
 def posterior_mean_theta(draws: PosteriorDraws) -> ThetaPoint:
-    return ThetaPoint(**{name: draws.flat(name).mean(axis=0) for name in DRAW_FIELDS})
+    return ThetaPoint(**{name: draws.flat(name).mean(axis=0) for name in THETA_FIELDS})
 
 
 def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
@@ -257,7 +253,7 @@ def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
     if draws.n_iter <= draws.n_burn:
         raise ValueError("no post-burn-in draws to summarize")
     out = {}
-    for name in DRAW_FIELDS:
+    for name in THETA_FIELDS:
         flat = draws.flat(name)
         qs = np.quantile(flat, [0.05, 0.50, 0.95], axis=0)
         out[name] = {"mean": flat.mean(axis=0),

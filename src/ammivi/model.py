@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -120,6 +120,12 @@ class ThetaPoint:
     @property
     def n_components(self) -> int:
         return self.lam.size
+
+
+# the blocks of a parameter point, in the order every parameter table lists them
+THETA_FIELDS = tuple(f.name for f in fields(ThetaPoint))
+# parameter-table names that differ from the ThetaPoint field name
+PARAM_NAMES = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -242,54 +248,71 @@ def write_rows(path, header, rows) -> None:
                           for v in row] for row in rows)
 
 
+def param_rows(blocks):
+    """Parameter-table rows (name, index1, index2, *values).
+
+    `blocks` yields (field, *arrays). Each entry of the first array (at most
+    2-d) gives one row, in np.ndindex order, with 1-based indices, '' for an
+    absent index, the name mapped through PARAM_NAMES and each array indexed
+    at the entry's index.
+    """
+    for name, *arrays in blocks:
+        arrays = [np.asarray(a) for a in arrays]
+        for idx in np.ndindex(arrays[0].shape):
+            index = [k + 1 for k in idx] + ["", ""]
+            yield (PARAM_NAMES.get(name, name), *index[:2], *(a[idx] for a in arrays))
+
+
 def write_theta_csv(theta: ThetaPoint, path) -> None:
-    """Named-parameter CSV of one parameter point (1-based indices)."""
-    rows = [("mu", "", "", theta.mu)]
-    rows += [("g", i + 1, "", v) for i, v in enumerate(theta.g)]
-    rows += [("e", j + 1, "", v) for j, v in enumerate(theta.e)]
-    rows += [("lambda", q + 1, "", v) for q, v in enumerate(theta.lam)]
-    rows += [("gamma", i + 1, q + 1, v) for (i, q), v in np.ndenumerate(theta.gamma)]
-    rows += [("delta", j + 1, q + 1, v) for (j, q), v in np.ndenumerate(theta.delta)]
-    rows.append(("sigma2", "", "", theta.sigma2))
-    write_rows(path, THETA_HEADER, rows)
+    """Parameter table of one parameter point."""
+    write_rows(path, THETA_HEADER,
+               param_rows((name, getattr(theta, name)) for name in THETA_FIELDS))
 
 
 def load_theta_csv(path) -> ThetaPoint:
-    values: dict[str, dict] = {k: {} for k in
-                               ("mu", "g", "e", "lambda", "gamma", "delta", "sigma2")}
+    """Read a parameter table written by write_theta_csv.
+
+    Raises ValidationError unless every entry of every block is given exactly
+    once, as a finite number, at 1-based indices whose count and range fit
+    the I, J and Q set by the g, e and lambda rows.
+    """
+    fields_by_name = {PARAM_NAMES.get(f, f): f for f in THETA_FIELDS}
+    entries: dict[str, dict] = {f: {} for f in THETA_FIELDS}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != THETA_HEADER:
+        if next(reader, None) != THETA_HEADER:
             raise ValidationError(f"{path}: expected header {','.join(THETA_HEADER)}")
-        for record in reader:
+        for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
-            name, i1, i2, val = record
-            if name not in values:
-                raise ValidationError(f"{path}: unknown parameter {name!r}")
-            key = (int(i1) if i1 else 0, int(i2) if i2 else 0)
-            values[name][key] = float(val)
+            if len(record) != 4 or record[0] not in fields_by_name or (
+                    record[2] and not record[1]):
+                raise ValidationError(f"{path}:{lineno}: malformed row {','.join(record)}")
+            name, *indices, val = record
+            try:
+                key = tuple(int(k) - 1 for k in indices if k)
+                val = float(val)
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: non-numeric index or value") from None
+            block = entries[fields_by_name[name]]
+            for failed, problem in ((min(key, default=0) < 0, "index below 1"),
+                                    (not np.isfinite(val), "non-finite value"),
+                                    (key in block, "repeated entry")):
+                if failed:
+                    raise ValidationError(f"{path}:{lineno}: {problem} {','.join(record)}")
+            block[key] = val
 
-    def vec(name):
-        entries = values[name]
-        return np.array([entries[k] for k in sorted(entries)])
-
-    def mat(name, n_rows):
-        entries = values[name]
-        if not entries:
-            return np.zeros((n_rows, 0))
-        q = max(k[1] for k in entries)
-        out = np.empty((n_rows, q))
-        for (i, j), v in entries.items():
-            out[i - 1, j - 1] = v
-        return out
-
-    g, e = vec("g"), vec("e")
-    return ThetaPoint(
-        mu=values["mu"][(0, 0)], g=g, e=e, lam=vec("lambda"),
-        gamma=mat("gamma", g.size), delta=mat("delta", e.size),
-        sigma2=values["sigma2"][(0, 0)])
+    I, J, Q = (1 + max((k[0] for k in entries[f] if k), default=-1) for f in ("g", "e", "lam"))
+    shapes = {"mu": (), "g": (I,), "e": (J,), "lam": (Q,), "gamma": (I, Q),
+              "delta": (J, Q), "sigma2": ()}
+    blocks = {}
+    for f, shape in shapes.items():
+        if entries[f].keys() != set(np.ndindex(shape)):
+            raise ValidationError(f"{path}: {PARAM_NAMES.get(f, f)} entries do not fill "
+                                  f"shape {shape} (I={I}, J={J}, Q={Q})")
+        values = [entries[f][k] for k in np.ndindex(shape)]
+        blocks[f] = np.reshape(values, shape) if shape else values[0]
+    return ThetaPoint(**blocks)
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -20,6 +20,8 @@ from .model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig, T
 from .statsmath import fix_signs, trunc_normal_moments
 
 _LOG_2PI = np.log(2.0 * np.pi)
+# the blocks with a mean field mu_q_<block> and a variance field Sigma_q_<block>
+BLOCKS = ("mu", "g", "e", "lambda", "gamma", "delta")
 
 
 class DivergenceError(RuntimeError):
@@ -55,19 +57,16 @@ class VariationalState:
         return self.mu_q_lambda.size
 
     def validate(self):
-        for name in ("Sigma_q_mu", "Sigma_q_g", "Sigma_q_e", "Sigma_q_lambda",
-                     "Sigma_q_gamma", "Sigma_q_delta", "a_q", "b_q"):
+        for name in [f"Sigma_q_{block}" for block in BLOCKS] + ["a_q", "b_q"]:
             val = np.asarray(getattr(self, name))
             if not np.all(np.isfinite(val)) or np.any(val <= 0):
                 raise ValueError(f"{name} must be finite and strictly positive")
 
     def mean_changes(self, other: "VariationalState") -> float:
         """Max absolute change of all variational means (convergence metric)."""
-        diffs = [abs(self.mu_q_mu - other.mu_q_mu)]
-        for name in ("mu_q_g", "mu_q_e", "mu_q_lambda", "mu_q_gamma", "mu_q_delta"):
-            a, b = getattr(self, name), getattr(other, name)
-            diffs.append(float(np.max(np.abs(a - b))) if a.size else 0.0)
-        return max(diffs)
+        return max(float(np.max(np.abs(getattr(self, f"mu_q_{block}")
+                                       - getattr(other, f"mu_q_{block}")), initial=0.0))
+                   for block in BLOCKS)
 
     def copy(self) -> "VariationalState":
         return VariationalState(

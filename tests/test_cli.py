@@ -27,6 +27,38 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def param_keys(path, drop=()):
+    """The (parameter, index1, index2) key of each row of a parameter table."""
+    return [tuple(row[:3]) for row in read_rows(path)[1:] if row[0] not in drop]
+
+
+def without(prefix):
+    return lambda lines: [line for line in lines if not line.startswith(prefix)]
+
+
+def renamed(prefix, new):
+    return lambda lines: [new + line[len(prefix):] if line.startswith(prefix) else line
+                          for line in lines]
+
+
+# edits of a valid Q=2 theta.csv on a 25 x 12 grid that --init-file must reject
+BAD_THETA = {
+    "no-mu": without("mu,"),
+    "header-only": lambda lines: lines[:1],
+    "gamma-row-missing": without("gamma,3,2,"),
+    "g-row-missing": without("g,4,"),
+    "gamma-row-out-of-range": lambda lines: lines + ["gamma,30,1,0.5"],
+    "repeated-entry": lambda lines: lines + [line for line in lines if line.startswith("e,2,")],
+    "index-below-1": renamed("g,1,", "g,0,"),
+    "wrong-index-count": renamed("g,1,,", "g,1,1,"),
+    "index2-without-index1": renamed("e,1,,", "e,,1,"),
+    "non-finite": lambda lines: without("sigma2,")(lines) + ["sigma2,,,nan"],
+    "non-numeric": renamed("e,1,,", "e,1,,x"),
+    "short-row": lambda lines: lines + ["g,1"],
+    "unknown-parameter": lambda lines: lines + ["tau,,,1.0"],
+}
+
+
 def forbid_calls(monkeypatch, *targets):
     """Make each (module, name) fail the test if it is called."""
     def fail(*args, **kwargs):
@@ -130,6 +162,16 @@ class TestFits:
         summary_names = {row[0] for row in read_rows(out / "mcmc_summary.csv")[1:]}
         rhat_names = {row[0] for row in read_rows(out / "rhat.csv")[1:]}
         assert rhat_names <= summary_names
+        assert param_keys(out / "mcmc_summary.csv") == param_keys(
+            out / "theta.csv", drop={"gamma", "delta"})
+
+    def test_fit_vi_q2_state_rows_follow_theta(self, sim_dir, tmp_path):
+        out = tmp_path / "vi2"
+        assert main(["fit-vi", "--input", str(sim_dir / "data.csv"), "--q", "2",
+                     "--max-iter", "5", "--output-dir", str(out)]) == 0
+        assert param_keys(out / "vi_state.csv") == (
+            param_keys(out / "theta.csv", drop={"sigma2"})
+            + [("tau_shape", "", ""), ("tau_rate", "", "")])
 
 
 class TestPredictAndCompare:
@@ -172,6 +214,20 @@ class TestExitCodes:
                      "--init", "file", "--init-file", str(freq_out / "theta.csv"),
                      "--output-dir", str(out)]) == 5
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit", BAD_THETA.values(), ids=BAD_THETA.keys())
+    def test_bad_init_file_rejected(self, sim_dir, tmp_path, capsys, edit):
+        freq_out = tmp_path / "f"
+        assert main(["fit-freq", "--input", str(sim_dir / "data.csv"), "--q", "2",
+                     "--output-dir", str(freq_out)]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit((freq_out / "theta.csv").read_text().splitlines())))
+        out = tmp_path / "vi"
+        assert main(["fit-vi", "--input", str(sim_dir / "data.csv"), "--q", "2",
+                     "--init", "file", "--init-file", str(bad),
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        assert str(bad) in capsys.readouterr().err
 
     def test_duplicate_cell_validation(self, tmp_path):
         bad = tmp_path / "dup.csv"
@@ -231,6 +287,20 @@ class TestConfigFile:
         out = tmp_path / "cfg_out"
         assert main([f"--config={cfg}", "fit-vi", "--input", str(sim_dir / "data.csv"),
                      "--output-dir", str(out)]) == 0
+        assert dict(read_rows(out / "fit_summary.csv")[1:])["n_iter"] == "5"
+
+    def test_unknown_config_key_rejected(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        args = ["--config", str(cfg), "fit-vi", "--input", str(sim_dir / "data.csv")]
+        cfg.write_text("max_iters = 3\n")
+        out = tmp_path / "typo"
+        assert main(args + ["--output-dir", str(out)]) == 2
+        assert "max_iters" in capsys.readouterr().err
+        assert not out.exists()
+        # a key of another subcommand (predict's --draws) is allowed
+        cfg.write_text("draws = 10\nmax-iter = 5\n")
+        out = tmp_path / "shared"
+        assert main(args + ["--output-dir", str(out)]) == 0
         assert dict(read_rows(out / "fit_summary.csv")[1:])["n_iter"] == "5"
 
     def test_missing_config_io(self, tmp_path):

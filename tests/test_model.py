@@ -10,7 +10,8 @@ from ammivi.freqfit import frequentist_fit
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
                           ValidationError, cell_counts, dataset_from_labels,
                           default_hyperparams, load_csv, load_theta_csv,
-                          mean_matrix, model_mean, write_csv, write_theta_csv)
+                          mean_matrix, model_mean, param_rows, write_csv,
+                          write_theta_csv)
 from ammivi.simulate import SimScenario, simulate
 from conftest import complete_dataset, random_dataset, random_theta
 
@@ -176,6 +177,14 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\nA,x,1\n")
         with pytest.raises(ValidationError, match="expected header"):
             load_csv(path)
+
+    def test_param_rows_layout(self):
+        rows = param_rows([("mu", 1.5), ("lam", [3.0, 2.0]),
+                           ("gamma", [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])])
+        assert list(rows) == [
+            ("mu", "", "", 1.5), ("lambda", 1, "", 3.0), ("lambda", 2, "", 2.0),
+            ("gamma", 1, 1, 1.0, 5.0), ("gamma", 1, 2, 2.0, 6.0),
+            ("gamma", 2, 1, 3.0, 7.0), ("gamma", 2, 2, 4.0, 8.0)]
 
     def test_theta_round_trip(self, rng, tmp_path):
         theta = random_theta(rng, 4, 3, 2)
