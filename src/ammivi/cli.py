@@ -150,6 +150,7 @@ def run_fit_mcmc(args) -> int:
 
 
 def run_predict(args) -> int:
+    analysis.check_n_draws(args.draws)
     dataset = load_csv(args.input)
     result, _ = _fit_vi(args, dataset)
     summary = analysis.predict(result, dataset, n_draws=args.draws,

@@ -52,7 +52,7 @@ class PosteriorDraws:
     def flat(self, name: str) -> np.ndarray:
         """Post-burn-in draws of one block, chains concatenated."""
         arr = self.kept(name)
-        return arr.reshape(-1, *arr.shape[2:])
+        return arr.reshape(arr.shape[0] * arr.shape[1], *arr.shape[2:])
 
 
 def _resid(theta: ThetaPoint, dataset: Dataset, *, drop_mu=False, drop_g=False,

@@ -53,7 +53,7 @@ class Dataset:
             raise ValidationError("environment index out of range")
         keys = rows * self.n_environments + cols
         if np.unique(keys).size != keys.size:
-            dup = int(keys[np.argmax(np.bincount(keys) > 1)])
+            dup = int(np.argmax(np.bincount(keys) > 1))
             raise ValidationError(
                 f"duplicate cell (genotype={dup // self.n_environments + 1}, "
                 f"environment={dup % self.n_environments + 1})")

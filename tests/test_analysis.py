@@ -1,5 +1,7 @@
 """Predictive summaries, RMSE, heatmap export and comparison reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ammivi.analysis import DimensionMismatchError, compare, export_heatmap, pre
 from ammivi.freqfit import frequentist_fit
 from ammivi.model import ModelConfig, default_hyperparams, mean_matrix
 from ammivi.simulate import SimScenario, simulate
+from ammivi.model import THETA_FIELDS, Dataset
 from conftest import random_dataset
 
 
@@ -78,6 +81,91 @@ class TestPredict:
         summary = predict(fit, ds, n_draws=50, seed=0)
         assert summary.observed.sum() == ds.n_obs
         assert summary.observed[ds.rows, ds.cols].all()
+
+
+def dense_cells(mu, g, e, lam, gamma, delta, _sigma2):
+    """The draws x I x J cell-mean array, built whole."""
+    cells = g[:, :, None] + (mu[:, None] + e)[:, None, :]
+    lam_gamma = gamma * lam[:, None, :]
+    for q in range(lam.shape[1]):
+        cells += lam_gamma[:, :, q, None] * delta[:, None, :, q]
+    return cells
+
+
+class TestBlockedPredict:
+    """predict walks blocks of genotype rows; the result must not depend on it."""
+
+    SEED = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 7 x 5 grid, 60 draws: 300 cells per row, so blocks of 3, 3 and 1 rows
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 900)
+
+    @staticmethod
+    def fitted(Q, kind):
+        ds, _ = simulate(SimScenario(I=7, J=5, Q=Q, lambda_true=(12.0, 5.0)[:Q],
+                                     missing_fraction=0.2, seed=11))
+        config = ModelConfig(Q=Q, hyper=default_hyperparams(ds), seed=2)
+        if kind == "vi":
+            return ds, vi.fit(ds, config, frequentist_fit(ds, Q))
+        return ds, gibbs.gibbs_fit(ds, config, n_chains=2, n_iter=60, n_burn=20)
+
+    def parameter_draws(self, fit, n_draws):
+        rng = np.random.default_rng(self.SEED)
+        if isinstance(fit, vi.FitResult):
+            return analysis._vi_parameter_draws(fit, n_draws, rng)
+        pick = rng.choice(len(fit.flat("mu")), size=n_draws, replace=False)
+        return [fit.flat(name)[pick] for name in THETA_FIELDS]
+
+    @pytest.mark.parametrize("kind", ["vi", "mcmc"])
+    @pytest.mark.parametrize("Q", [0, 1, 2])
+    def test_matches_dense_reference(self, Q, kind):
+        ds, fit = self.fitted(Q, kind)
+        summary = predict(fit, ds, n_draws=60, seed=self.SEED)
+        cells = dense_cells(*self.parameter_draws(fit, 60))
+        qs = np.quantile(cells, [0.05, 0.50, 0.95], axis=0)
+        for got, want in zip((summary.q05, summary.q50, summary.q95), qs):
+            assert np.array_equal(got, want)
+        assert np.allclose(summary.mean, cells.mean(axis=0), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["vi", "mcmc"])
+    def test_noise_seeded_ordered_and_mask_free(self, kind):
+        ds, fit = self.fitted(2, kind)
+        first = predict(fit, ds, n_draws=60, include_noise=True, seed=self.SEED)
+        again = predict(fit, ds, n_draws=60, include_noise=True, seed=self.SEED)
+        # the same grid with one more cell missing
+        spare = (np.bincount(ds.rows)[ds.rows] > 1) & (np.bincount(ds.cols)[ds.cols] > 1)
+        keep = np.arange(ds.n_obs) != np.flatnonzero(spare)[0]
+        fewer = Dataset(rows=ds.rows[keep], cols=ds.cols[keep], y=ds.y[keep],
+                        n_genotypes=ds.n_genotypes, n_environments=ds.n_environments,
+                        genotype_labels=ds.genotype_labels,
+                        environment_labels=ds.environment_labels)
+        masked = predict(fit, fewer, n_draws=60, include_noise=True, seed=self.SEED)
+        assert masked.observed.sum() == first.observed.sum() - 1
+        for name in ("mean", "q05", "q50", "q95"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+            assert np.array_equal(getattr(masked, name), getattr(first, name))
+        assert np.all(first.q05 <= first.q50) and np.all(first.q50 <= first.q95)
+        plain = predict(fit, ds, n_draws=60, seed=self.SEED)
+        assert np.mean(first.q95 - first.q05) > np.mean(plain.q95 - plain.q05)
+
+
+class TestPredictMemory:
+    @pytest.mark.parametrize("include_noise", [False, True])
+    def test_peak_below_one_dense_array(self, include_noise):
+        ds, _ = simulate(SimScenario(I=60, J=40, Q=2, lambda_true=(12.0, 5.0), seed=4))
+        config = ModelConfig(Q=2, hyper=default_hyperparams(ds))
+        fit = vi.fit(ds, config, frequentist_fit(ds, 2))
+        n_draws = 4000
+        dense_bytes = n_draws * ds.n_genotypes * ds.n_environments * 8
+        tracemalloc.start()
+        try:
+            predict(fit, ds, n_draws=n_draws, include_noise=include_noise, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes, (peak, dense_bytes)
 
 
 class TestRmse:

@@ -256,11 +256,16 @@ class TestExitCodes:
                      "--output-dir", str(out)]) == 2
         assert not out.exists()
 
-    def test_zero_predict_draws(self, sim_dir, tmp_path):
-        out = tmp_path / "pred"
-        assert main(["predict", "--input", str(sim_dir / "data.csv"), "--draws", "0",
-                     "--output-dir", str(out)]) == 2
-        assert not out.exists()
+    def test_zero_predict_draws(self, sim_dir, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("vi.fit ran before --draws was checked")
+
+        monkeypatch.setattr(vi, "fit", no_fit)
+        for draws in ("0", "-3"):
+            out = tmp_path / f"pred{draws}"
+            assert main(["predict", "--input", str(sim_dir / "data.csv"), "--draws", draws,
+                         "--output-dir", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestConfigFile:

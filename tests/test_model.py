@@ -221,3 +221,100 @@ class TestCsvRoundTrip:
         loaded = load_theta_csv(path)
         assert loaded.n_components == 0
         assert np.array_equal(loaded.e, theta.e)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def labelled_grids(draw):
+    """A Dataset on a random incomplete grid with arbitrary text labels, cells shuffled."""
+    I, J = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    labels = st.text(max_size=6)
+    g_labels = draw(st.lists(labels, min_size=I, max_size=I, unique=True))
+    e_labels = draw(st.lists(labels, min_size=J, max_size=J, unique=True))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=I * J, max_size=I * J)))
+    keep = keep.reshape(I, J)
+    keep[np.arange(max(I, J)) % I, np.arange(max(I, J)) % J] = True  # no empty row or column
+    cells = draw(st.permutations(list(zip(*np.nonzero(keep)))))
+    values = draw(st.lists(finite, min_size=len(cells), max_size=len(cells)))
+    return dataset_from_labels([g_labels[i] for i, _ in cells],
+                               [e_labels[j] for _, j in cells], values)
+
+
+@st.composite
+def theta_points(draw):
+    I, J, Q = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 2))
+
+    def block(n):
+        return np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+
+    return ThetaPoint(mu=draw(finite), g=block(I), e=block(J), lam=block(Q),
+                      gamma=block(I * Q).reshape(I, Q), delta=block(J * Q).reshape(J, Q),
+                      sigma2=draw(st.floats(min_value=0.0, exclude_min=True,
+                                            allow_infinity=False)))
+
+
+class TestRoundTripProperties:
+    @given(labelled_grids())
+    @settings(max_examples=100, deadline=None)
+    def test_dataset_csv_round_trip(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("grid") / "data.csv"
+        write_csv(ds, path)
+        loaded = load_csv(path)
+        for field in ("rows", "cols", "y"):
+            assert np.array_equal(getattr(loaded, field), getattr(ds, field)), field
+        assert (loaded.n_genotypes, loaded.n_environments) == \
+            (ds.n_genotypes, ds.n_environments)
+        assert loaded.genotype_labels == ds.genotype_labels
+        assert loaded.environment_labels == ds.environment_labels
+
+    @given(theta_points())
+    @settings(max_examples=100, deadline=None)
+    def test_theta_csv_round_trip_exact(self, tmp_path_factory, theta):
+        path = tmp_path_factory.mktemp("theta") / "theta.csv"
+        write_theta_csv(theta, path)
+        loaded = load_theta_csv(path)
+        for field in ("mu", "g", "e", "lam", "gamma", "delta", "sigma2"):
+            want, got = np.asarray(getattr(theta, field)), np.asarray(getattr(loaded, field))
+            assert got.shape == want.shape, field
+            assert np.array_equal(np.signbit(got), np.signbit(want)), field
+            assert np.array_equal(got, want), field
+
+
+class TestDatasetProperties:
+    @staticmethod
+    def rebuild(ds, **changes):
+        fields = {name: getattr(ds, name) for name in
+                  ("rows", "cols", "y", "n_genotypes", "n_environments",
+                   "genotype_labels", "environment_labels")}
+        return Dataset(**{**fields, **changes})
+
+    @given(labelled_grids(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_cell_rejected(self, ds, data):
+        k = data.draw(st.integers(0, ds.n_obs - 1))
+        pair = f"genotype={ds.rows[k] + 1}, environment={ds.cols[k] + 1}"
+        with pytest.raises(ValidationError, match=rf"duplicate cell \({pair}\)"):
+            self.rebuild(ds, rows=np.append(ds.rows, ds.rows[k]),
+                         cols=np.append(ds.cols, ds.cols[k]), y=np.append(ds.y, 0.0))
+
+    @given(labelled_grids(), st.sampled_from(["genotype", "environment"]))
+    @settings(max_examples=100, deadline=None)
+    def test_empty_row_or_column_rejected(self, ds, axis):
+        if axis == "genotype":
+            changes = {"n_genotypes": ds.n_genotypes + 1,
+                       "genotype_labels": (*ds.genotype_labels, "extra")}
+        else:
+            changes = {"n_environments": ds.n_environments + 1,
+                       "environment_labels": (*ds.environment_labels, "extra")}
+        with pytest.raises(ValidationError, match=f"{axis} has no observations"):
+            self.rebuild(ds, **changes)
+
+    @given(labelled_grids(), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_value_rejected(self, ds, data, bad):
+        y = ds.y.copy()
+        y[data.draw(st.integers(0, ds.n_obs - 1))] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            self.rebuild(ds, y=y)
