@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class Dataset:
             raise ValidationError("genotype index out of range")
         if cols.min() < 0 or cols.max() >= self.n_environments:
             raise ValidationError("environment index out of range")
-        keys = rows * self.n_environments + cols
+        keys = self.cells
         if np.unique(keys).size != keys.size:
             dup = int(np.argmax(np.bincount(keys) > 1))
             raise ValidationError(
@@ -65,6 +66,11 @@ class Dataset:
     @property
     def n_obs(self) -> int:
         return self.y.size
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Flat index `row * n_environments + col` of each observation in an I x J grid."""
+        return self.rows * self.n_environments + self.cols
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ class TestPredict:
         tiny.Sigma_q_delta[:] = 1e-18
         tiny.a_q, tiny.b_q = 1e12, 1e12 * fit.theta.sigma2
         degen = vi.FitResult(state=tiny, theta=fit.theta,
-                             elbo_trace=fit.elbo_trace, n_iter=fit.n_iter,
-                             converged=True, wall_time=0.0)
+                             elbo_trace=fit.elbo_trace, change_trace=fit.change_trace,
+                             n_iter=fit.n_iter, converged=True, wall_time=0.0)
         summary = predict(degen, ds, n_draws=500, seed=1)
         point = mean_matrix(vi.posterior_mean_theta(tiny))
         for mat in (summary.q05, summary.q50, summary.q95, summary.mean):

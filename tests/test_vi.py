@@ -1,5 +1,8 @@
 """Coordinate-ascent updates, ELBO, convergence and post-processing."""
 
+import copy
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, log_ndtr
@@ -290,6 +293,84 @@ class TestUpdateTau:
         assert abs(analytic - sse.mean()) < 3 * se
 
 
+class TestGridGatherEquivalence:
+    """The I x J grid gathers against per-observation formulas that index
+    factor rows once per observed cell."""
+
+    @staticmethod
+    def ref_resid(c, ds):
+        out = ds.y - c.tilde_mu - c.tilde_g[ds.rows] - c.tilde_e[ds.cols]
+        for q in range(c.tilde_lambda.size):
+            out -= c.tilde_lambda[q] * c.tilde_gamma[ds.rows, q] * c.tilde_delta[ds.cols, q]
+        return out
+
+    def ref_partial(self, c, ds, q):
+        return (self.ref_resid(c, ds)
+                + c.tilde_lambda[q] * c.tilde_gamma[ds.rows, q] * c.tilde_delta[ds.cols, q])
+
+    def ref_sse(self, c, ds):
+        r = self.ref_resid(c, ds)
+        total = r @ r + ds.n_obs * c.var_mu + c.var_g[ds.rows].sum() + c.var_e[ds.cols].sum()
+        for q in range(c.tilde_lambda.size):
+            total += np.sum(c.tilde_lambda_sq[q] * c.tilde_gamma_sq[ds.rows, q]
+                            * c.tilde_delta_sq[ds.cols, q]
+                            - (c.tilde_lambda[q] * c.tilde_gamma[ds.rows, q]
+                               * c.tilde_delta[ds.cols, q]) ** 2)
+        return total
+
+    def ref_lambda(self, c, ds, hyper, q):
+        gd = c.tilde_gamma[ds.rows, q] * c.tilde_delta[ds.cols, q]
+        gd_sq = c.tilde_gamma_sq[ds.rows, q] * c.tilde_delta_sq[ds.cols, q]
+        prec = c.tilde_tau * gd_sq.sum() + 1.0 / hyper.sigma2_lambda
+        return c.tilde_tau * (gd @ self.ref_partial(c, ds, q)) / prec, 1.0 / prec
+
+    def ref_factor(self, c, ds, q, other, other_sq, own_idx, other_idx, n):
+        """Location and variance of column q of gamma (own_idx = rows) or delta (own_idx = cols)."""
+        weights = other[other_idx, q] * self.ref_partial(c, ds, q)
+        prec = (c.tilde_tau * c.tilde_lambda_sq[q]
+                * np.bincount(own_idx, weights=other_sq[other_idx, q], minlength=n) + 1.0)
+        loc = c.tilde_tau * c.tilde_lambda[q] * np.bincount(own_idx, weights, minlength=n) / prec
+        return loc, 1.0 / prec
+
+    @staticmethod
+    def assert_rel(actual, expected):
+        actual, expected = np.asarray(actual), np.asarray(expected)
+        assert actual.shape == expected.shape
+        scale = max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+        assert float(np.max(np.abs(actual - expected), initial=0.0)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("Q", [0, 1, 2])
+    def test_matches_per_observation_formulas(self, Q, hyper):
+        rng = np.random.default_rng(40 + Q)
+        for _ in range(6):
+            I, J = int(rng.integers(3, 12)), int(rng.integers(2, 9))
+            ds = random_dataset(rng, I, J, missing=float(rng.uniform(0.0, 0.4)))
+            order = rng.permutation(ds.n_obs)
+            ds = Dataset(rows=ds.rows[order], cols=ds.cols[order], y=ds.y[order],
+                         n_genotypes=I, n_environments=J,
+                         genotype_labels=ds.genotype_labels,
+                         environment_labels=ds.environment_labels)
+            config = ModelConfig(Q=Q, hyper=hyper)
+            state = state_with_variances(random_theta(rng, I, J, Q), ds, config, rng)
+            cache = vi.expectations(state)
+            self.assert_rel(vi._resid(cache, ds), self.ref_resid(cache, ds))
+            self.assert_rel(vi.expected_sse(cache, ds), self.ref_sse(cache, ds))
+            for q in range(Q):
+                self.assert_rel(vi._partial_resid(ds, cache, q), self.ref_partial(cache, ds, q))
+                expected = {
+                    vi.update_lambda: self.ref_lambda(cache, ds, hyper, q),
+                    vi.update_gamma: self.ref_factor(cache, ds, q, cache.tilde_delta,
+                                                     cache.tilde_delta_sq, ds.rows, ds.cols, I),
+                    vi.update_delta: self.ref_factor(cache, ds, q, cache.tilde_gamma,
+                                                     cache.tilde_gamma_sq, ds.cols, ds.rows, J),
+                }
+                for update, (loc, var) in expected.items():
+                    got_loc, got_var = update(copy.deepcopy(state), ds, hyper,
+                                              copy.deepcopy(cache), q)
+                    self.assert_rel(got_loc, loc)
+                    self.assert_rel(got_var, var)
+
+
 def prior_matched_state(I, J, Q, hyper):
     return vi.VariationalState(
         mu_q_mu=hyper.mu_mu, Sigma_q_mu=hyper.sigma2_mu,
@@ -363,10 +444,27 @@ class TestElbo:
         ds, _ = simulate(SimScenario(I=15, J=8, Q=2, lambda_true=(18.0, 9.0),
                                      missing_fraction=0.2, seed=11))
         from ammivi.freqfit import frequentist_fit
-        result = vi.fit(ds, ModelConfig(Q=2, hyper=hyper), frequentist_fit(ds, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = vi.fit(ds, ModelConfig(Q=2, hyper=hyper), frequentist_fit(ds, 2))
         trace = result.elbo_trace
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-8 * np.abs(trace[:-1]))
+
+    def test_decrease_is_reported(self, rng, hyper, monkeypatch):
+        ds = random_dataset(rng, 5, 4)
+        from ammivi.freqfit import frequentist_fit
+        trace = [-100.0, -90.0, -90.0 * (1 + 5e-9), -95.0, -80.0, -80.0 * (1 + 2e-8)]
+        values = iter(trace)
+        monkeypatch.setattr(vi, "elbo", lambda state, dataset, hyper: next(values))
+        config = ModelConfig(Q=1, hyper=hyper, max_iter=5, tol=1e-300)
+        with pytest.warns(RuntimeWarning) as caught:
+            result = vi.fit(ds, config, frequentist_fit(ds, 1))
+        # a 5e-9 relative step (sweep 2) is tolerated; a 2e-8 relative one (sweep 5) is not
+        assert [str(w.message) for w in caught] == [
+            f"ELBO decreased at sweep 3: {trace[2]!r} -> -95.0",
+            f"ELBO decreased at sweep 5: -80.0 -> {trace[5]!r}"]
+        assert result.elbo_trace.tolist() == trace
 
 
 class TestFit:
@@ -425,6 +523,20 @@ class TestFit:
         result = vi.fit(ds, ModelConfig(Q=1, hyper=hyper), frequentist_fit(ds, 1),
                         callback=lambda k, s: seen.append(k))
         assert seen == list(range(1, result.n_iter + 1))
+
+    @pytest.mark.parametrize("max_iter", [5, 1000])
+    def test_change_trace(self, rng, hyper, max_iter):
+        ds = random_dataset(rng, 6, 5, missing=0.2)
+        from ammivi.freqfit import frequentist_fit
+        init = frequentist_fit(ds, 1)
+        config = ModelConfig(Q=1, hyper=hyper, max_iter=max_iter)
+        states = [vi.init_state(init, ds, config)]
+        result = vi.fit(ds, config, init, callback=lambda k, s: states.append(s.copy()))
+        assert result.change_trace.shape == (result.n_iter,)
+        assert result.change_trace.tolist() == [
+            after.mean_changes(before) for before, after in zip(states, states[1:])]
+        assert (result.change_trace[-1] < config.tol) == result.converged
+        assert result.converged == (max_iter == 1000)
 
 
 class TestPostProcess:
