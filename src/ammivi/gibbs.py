@@ -193,33 +193,30 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
 
     for c in range(n_chains):
         rng = np.random.default_rng([config.seed, c])
+        # the chain's working point: its arrays are fresh and each block's
+        # draw overwrites them in place; only the scalars need a new point
         theta = _jittered_init(base, rng)
         for t in range(n_iter):
             m, v = _cond_mu(theta, dataset, hyper)
             theta = replace(theta, mu=rng.normal(m, np.sqrt(v)))
 
             means, variances = _cond_g(theta, dataset, hyper)
-            theta = replace(theta, g=means + np.sqrt(variances) * rng.standard_normal(I))
+            theta.g[:] = means + np.sqrt(variances) * rng.standard_normal(I)
 
             means, variances = _cond_e(theta, dataset, hyper)
-            theta = replace(theta, e=means + np.sqrt(variances) * rng.standard_normal(J))
+            theta.e[:] = means + np.sqrt(variances) * rng.standard_normal(J)
 
             for q in range(Q):
                 loc, var = _cond_lambda(theta, dataset, hyper, q)
-                lam = theta.lam.copy()
-                lam[q] = sample_trunc_normal(rng, loc, var)
-                theta = replace(theta, lam=lam)
+                theta.lam[q] = sample_trunc_normal(rng, loc, var)
 
                 locs, variances = _cond_gamma(theta, dataset, hyper, q)
-                gamma = theta.gamma.copy()
-                gamma[0, q] = sample_trunc_normal(rng, locs[0], variances[0])
-                gamma[1:, q] = locs[1:] + np.sqrt(variances[1:]) * rng.standard_normal(I - 1)
-                theta = replace(theta, gamma=gamma)
+                theta.gamma[0, q] = sample_trunc_normal(rng, locs[0], variances[0])
+                theta.gamma[1:, q] = (locs[1:] + np.sqrt(variances[1:])
+                                      * rng.standard_normal(I - 1))
 
                 locs, variances = _cond_delta(theta, dataset, hyper, q)
-                delta = theta.delta.copy()
-                delta[:, q] = locs + np.sqrt(variances) * rng.standard_normal(J)
-                theta = replace(theta, delta=delta)
+                theta.delta[:, q] = locs + np.sqrt(variances) * rng.standard_normal(J)
 
             shape, rate = _cond_tau(theta, dataset, hyper)
             theta = replace(theta, sigma2=1.0 / rng.gamma(shape, 1.0 / rate))

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .statsmath import centered_svd
+from .statsmath import fix_signs
 
 
 class ValidationError(ValueError):
@@ -174,17 +174,27 @@ def post_process(theta: ThetaPoint) -> ThetaPoint:
     effects and grand mean, the doubly centered remainder is re-expressed
     through its SVD with ordered singular values, and gamma columns are
     sign-fixed by `statsmath.fix_signs`. Cell means are unchanged.
+
+    The bilinear matrix is L R^T with L = gamma * lam and R = delta, so its
+    means come from the factor means and its doubly centered remainder is
+    (L - mean L)(R - mean R)^T. That product's SVD is read from thin SVDs
+    of the two centered factors and the SVD of the Q x Q matrix between
+    their left singular vectors; the I x J matrix is never formed.
     """
     g, e = theta.g.copy(), theta.e.copy()
     mu = theta.mu
     lam, gamma, delta = theta.lam, theta.gamma, theta.delta
     if theta.n_components:
-        (row, col, grand), svals, gamma, delta = centered_svd(
-            (theta.gamma * theta.lam) @ theta.delta.T, theta.n_components)
+        left = theta.gamma * theta.lam
+        left_mean, right_mean = left.mean(axis=0), theta.delta.mean(axis=0)
+        grand = float(left_mean @ right_mean)
         mu += grand
-        g += row - grand
-        e += col - grand
-        lam = svals[:theta.n_components].copy()
+        g += left @ right_mean - grand
+        e += theta.delta @ left_mean - grand
+        basis_l, s_l, rot_l = np.linalg.svd(left - left_mean, full_matrices=False)
+        basis_r, s_r, rot_r = np.linalg.svd(theta.delta - right_mean, full_matrices=False)
+        u, lam, vt = np.linalg.svd((s_l[:, None] * rot_l) @ (s_r[:, None] * rot_r).T)
+        gamma, delta = fix_signs(basis_l @ u, basis_r @ vt.T)
     gm, em = g.mean(), e.mean()
     return ThetaPoint(mu=mu + gm + em, g=g - gm, e=e - em,
                       lam=lam, gamma=gamma, delta=delta, sigma2=theta.sigma2)

@@ -11,7 +11,7 @@ from ammivi import gibbs, vi
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
                           mean_matrix)
 from ammivi.simulate import SimScenario, simulate
-from ammivi.statsmath import sample_trunc_normal
+from ammivi.statsmath import centered_svd, sample_trunc_normal
 from conftest import complete_dataset, random_dataset, random_theta
 
 
@@ -546,6 +546,18 @@ class TestPostProcess:
             theta = random_theta(rng, int(I), int(J), Q)
             out = vi.post_process(theta)
             assert np.max(np.abs(mean_matrix(out) - mean_matrix(theta))) < 1e-10
+
+    def test_matches_svd_of_the_dense_centered_matrix(self, rng):
+        # the factor-based SVD agrees with the SVD of the I x J matrix itself
+        for _ in range(50):
+            I, J, Q = int(rng.integers(3, 12)), int(rng.integers(3, 9)), int(rng.integers(1, 3))
+            theta = random_theta(rng, I, J, Q)
+            (row, col, grand), svals, gamma, delta = centered_svd(
+                (theta.gamma * theta.lam) @ theta.delta.T, Q)
+            out = vi.post_process(theta)
+            assert np.max(np.abs(out.lam - svals[:Q])) < 1e-10
+            assert np.max(np.abs(out.gamma - gamma)) < 1e-8
+            assert np.max(np.abs(out.delta - delta)) < 1e-8
 
     def test_idempotent_on_constrained_point(self):
         _, truth = simulate(SimScenario(I=10, J=8, Q=2, lambda_true=(12.0, 6.0),
