@@ -218,24 +218,9 @@ def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> Comparison
         vi_time=vi.wall_time, mcmc_time=mcmc.wall_time)
 
 
-def _median_time(run, repeats: int) -> float:
-    """Median wall time of `repeats` calls of run()."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
 def benchmark_rows(group: str, q_values=(1, 2), smoke: bool = False, seed: int = 0):
-    """Timing rows (name, I, J, Q, n, vi_time, mcmc_time, ratio) for one size group.
-
-    Each time is the median of repeated runs of the same seeded fit: three
-    in smoke mode, whose fits last tens of milliseconds and so are noisy
-    on a shared host, and one in full mode, whose fits last seconds.
-    """
-    n_iter, n_burn, repeats = (100, 25, 3) if smoke else (6000, 1000, 1)
+    """Timing rows (name, I, J, Q, n, vi_time, mcmc_time, ratio) for one size group."""
+    n_iter, n_burn = (100, 25) if smoke else (6000, 1000)
     rows = []
     for scenario in simulate.scenario_grid():
         if not scenario.name.startswith(f"bench-{group}-"):
@@ -246,10 +231,13 @@ def benchmark_rows(group: str, q_values=(1, 2), smoke: bool = False, seed: int =
         config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset),
                              seed=seed)
         init = frequentist_fit(dataset, config.Q)
-        vi_time = _median_time(lambda: vi.fit(dataset, config, init), repeats)
-        mcmc_time = _median_time(
-            lambda: gibbs.gibbs_fit(dataset, config, n_chains=4, n_iter=n_iter,
-                                    n_burn=n_burn, init=init), repeats)
+        t0 = time.perf_counter()
+        vi.fit(dataset, config, init)
+        vi_time = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        gibbs.gibbs_fit(dataset, config, n_chains=4, n_iter=n_iter, n_burn=n_burn,
+                        init=init)
+        mcmc_time = time.perf_counter() - t0
         rows.append((scenario.name, scenario.I, scenario.J, scenario.Q,
                      dataset.n_obs, vi_time, mcmc_time, mcmc_time / vi_time))
     return rows
