@@ -5,36 +5,46 @@ Used to initialize the variational fitter and as a standalone baseline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .model import Dataset, ThetaPoint
+from .model import Dataset, ThetaPoint, cell_counts, mean_matrix
 from .statsmath import DegenerateInputError, centered_svd
 
 
 def fit_additive(dataset: Dataset) -> tuple[float, np.ndarray, np.ndarray]:
     """Least-squares two-way additive fit under sum-to-zero constraints.
 
-    For complete tables this reduces to grand mean plus row/column mean
-    deviations; incomplete tables are solved exactly through the reduced
-    (sum-coded) normal equations.
+    Solves the normal equations without an n-row design: the (1+I+J)^2
+    Gram matrix comes from n, the row and column counts and the 0/1
+    observed-cell grid, the right-hand side from sums of y, and sum coding
+    reduces both to I+J-1 unknowns, at O(n + (I+J)^2) cost. A breadth-first
+    search of the bipartite genotype-environment graph of observed cells
+    raises `DegenerateInputError` for a disconnected table, the one case in
+    which the system is singular.
     """
     I, J = dataset.n_genotypes, dataset.n_environments
-    n = dataset.n_obs
-    # sum coding: g_I = -sum(g_1..g_{I-1}), e_J likewise
-    X = np.zeros((n, 1 + (I - 1) + (J - 1)))
-    X[:, 0] = 1.0
-    obs = np.arange(n)
-    for offset, idx, size in ((1, dataset.rows, I), (I, dataset.cols, J)):
-        last = idx == size - 1
-        X[obs[~last], offset + idx[~last]] = 1.0
-        X[last, offset:offset + size - 1] = -1.0
-    beta, _, rank, _ = np.linalg.lstsq(X, dataset.y, rcond=None)
-    if rank < X.shape[1]:
+    n, n_rows, n_cols = cell_counts(dataset)
+    observed = np.bincount(dataset.cells, minlength=I * J).reshape(I, J)  # cells are unique
+    reached = np.arange(I) == 0
+    while (grown := observed[:, observed[reached].any(0)].any(1)).sum() > reached.sum():
+        reached = grown
+    if not reached.all():
         raise DegenerateInputError("additive design is singular (disconnected table)")
-    mu = float(beta[0])
-    g = np.append(beta[1:I], -beta[1:I].sum())
-    e = np.append(beta[I:], -beta[I:].sum())
-    return mu, g, e
+    gram = np.block([[n, n_rows, n_cols],
+                     [n_rows[:, None], np.diag(n_rows), observed],
+                     [n_cols[:, None], observed.T, np.diag(n_cols)]])
+    rhs = np.concatenate([[dataset.y.sum()], np.bincount(dataset.rows, dataset.y, I),
+                          np.bincount(dataset.cols, dataset.y, J)])
+
+    # sum coding: g_I = -sum(g_1..g_{I-1}), e_J likewise; applied along axis 0
+    def code(a):
+        return np.concatenate([a[:1], a[1:I] - a[I], a[I + 1:-1] - a[-1]])
+
+    beta = np.linalg.solve(code(code(gram).T), code(rhs))
+    return (float(beta[0]), np.append(beta[1:I], -beta[1:I].sum()),
+            np.append(beta[I:], -beta[I:].sum()))
 
 
 def _residual_matrix(dataset: Dataset, mu, g, e) -> np.ndarray:
@@ -68,10 +78,6 @@ def frequentist_fit(dataset: Dataset, Q: int) -> ThetaPoint:
     """Two-stage fit; sigma2 is the mean squared residual after Q components."""
     mu, g, e = fit_additive(dataset)
     lam, gamma, delta = fit_interaction(dataset, mu, g, e, Q)
-    fitted = mu + g[dataset.rows] + e[dataset.cols]
-    if Q:
-        fitted = fitted + ((gamma[dataset.rows] * lam) * delta[dataset.cols]).sum(axis=1)
-    resid = dataset.y - fitted
-    sigma2 = float(max(np.mean(resid ** 2), 1e-12))
-    return ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma, delta=delta,
-                      sigma2=sigma2)
+    theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma, delta=delta, sigma2=1.0)
+    resid = dataset.y - mean_matrix(theta).ravel()[dataset.cells]
+    return replace(theta, sigma2=float(max(np.mean(resid ** 2), 1e-12)))

@@ -153,12 +153,6 @@ class ModelConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-def model_mean(theta: ThetaPoint, i: int, j: int) -> float:
-    """Systematic part mu + g_i + e_j + sum_q lambda_q gamma_iq delta_jq."""
-    bil = float(theta.gamma[i] * theta.delta[j] @ theta.lam) if theta.n_components else 0.0
-    return theta.mu + float(theta.g[i]) + float(theta.e[j]) + bil
-
-
 def mean_matrix(theta: ThetaPoint) -> np.ndarray:
     """All cell means as an I x J matrix."""
     out = theta.mu + theta.g[:, None] + theta.e[None, :]

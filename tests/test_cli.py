@@ -9,6 +9,11 @@ from ammivi import gibbs, vi
 from ammivi.cli import main
 
 DUP_CSV = "genotype,environment,yield\nA,x,1\nA,x,2\nB,x,3\n"
+# genotypes A, B grown only in x, y and C, D only in z, w: a disconnected table
+SPLIT_CSV = "genotype,environment,yield\n" + "".join(
+    f"{g},{e},{k}\n" for k, (g, e) in enumerate(
+        [("A", "x"), ("A", "y"), ("B", "x"), ("B", "y"),
+         ("C", "z"), ("C", "w"), ("D", "z"), ("D", "w")]))
 # columns holding names; every other non-empty cell a subcommand writes is a number
 LABEL_COLUMNS = {"genotype", "environment", "parameter", "key", "init", "scenario"}
 
@@ -234,6 +239,15 @@ class TestExitCodes:
         bad.write_text(DUP_CSV)
         assert main(["fit-vi", "--input", str(bad),
                      "--output-dir", str(tmp_path)]) == 2
+
+    def test_disconnected_table_validation(self, tmp_path, capsys):
+        bad = tmp_path / "split.csv"
+        bad.write_text(SPLIT_CSV)
+        assert main(["fit-freq", "--input", str(bad), "--q", "0",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "disconnected table" in err
+        assert "Traceback" not in err
 
     def test_missing_input_io(self, tmp_path):
         assert main(["fit-vi", "--input", str(tmp_path / "nope.csv"),

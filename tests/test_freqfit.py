@@ -1,7 +1,11 @@
 """Frequentist multi-stage fit used as initializer and baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammivi.freqfit import fit_additive, fit_interaction, frequentist_fit
 from ammivi.model import Dataset, mean_matrix
@@ -26,6 +30,38 @@ def constrained_lstsq_oracle(dataset):
     return sol[0], sol[1:1 + I], sol[1 + I:1 + I + J]
 
 
+def masked_dataset(rng, keep) -> Dataset:
+    """Random yields on the cells where the boolean I x J grid `keep` is set."""
+    rows, cols = np.nonzero(keep)
+    return Dataset(
+        rows=rows, cols=cols, y=rng.normal(50.0, 5.0, rows.size),
+        n_genotypes=keep.shape[0], n_environments=keep.shape[1],
+        genotype_labels=tuple(f"g{i + 1}" for i in range(keep.shape[0])),
+        environment_labels=tuple(f"e{j + 1}" for j in range(keep.shape[1])))
+
+
+def two_block_mask(rng, bridge):
+    """Two genotype x environment blocks that share no row or column, each
+    half observed, with rows and columns shuffled; `bridge` adds one cell
+    joining them, leaving the rest of the table as it is for the same rng."""
+    I1, I2, J1, J2 = rng.integers(2, 7, size=4)
+    keep = np.zeros((I1 + I2, J1 + J2), dtype=bool)
+    for block in (keep[:I1, :J1], keep[I1:, J1:]):
+        block[:] = rng.random(block.shape) < 0.5
+        block[np.arange(block.shape[0]), rng.integers(0, block.shape[1], block.shape[0])] = True
+        block[rng.integers(0, block.shape[0], block.shape[1]), np.arange(block.shape[1])] = True
+    keep[rng.integers(0, I1), J1 + rng.integers(0, J2)] = bridge
+    return keep[rng.permutation(I1 + I2)][:, rng.permutation(J1 + J2)]
+
+
+def assert_matches_oracle(ds):
+    mu, g, e = fit_additive(ds)
+    omu, og, oe = constrained_lstsq_oracle(ds)
+    assert mu == pytest.approx(omu, abs=1e-8)
+    assert np.allclose(g, og, rtol=0.0, atol=1e-8)
+    assert np.allclose(e, oe, rtol=0.0, atol=1e-8)
+
+
 class TestFitAdditive:
     def test_complete_2x2(self):
         ds = complete_dataset([[1.0, 2.0], [3.0, 4.0]])
@@ -42,12 +78,8 @@ class TestFitAdditive:
         assert np.max(np.abs(R.sum(axis=1))) < 1e-10
 
     def test_incomplete_matches_kkt_oracle(self, rng):
-        ds = random_dataset(rng, 3, 3, missing=0.3)
-        mu, g, e = fit_additive(ds)
-        omu, og, oe = constrained_lstsq_oracle(ds)
-        assert mu == pytest.approx(omu, abs=1e-8)
-        assert np.allclose(g, og, atol=1e-8)
-        assert np.allclose(e, oe, atol=1e-8)
+        for I, J, missing in ((3, 3, 0.3), (40, 25, 0.5)):
+            assert_matches_oracle(random_dataset(rng, I, J, missing=missing))
 
     def test_optimal_among_feasible_fits(self, rng):
         ds = random_dataset(rng, 5, 4, missing=0.2)
@@ -74,6 +106,47 @@ class TestFitAdditive:
                      environment_labels=("w", "x", "y", "z"))
         with pytest.raises(DegenerateInputError):
             fit_additive(ds)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_two_block_tables_connect_only_through_a_bridge(self, seed):
+        split, bridged = (two_block_mask(np.random.default_rng(seed), bridge)
+                          for bridge in (False, True))
+        assert (split != bridged).sum() == 1
+        rng = np.random.default_rng(seed)
+        with pytest.raises(DegenerateInputError, match="disconnected table"):
+            fit_additive(masked_dataset(rng, split))
+        assert_matches_oracle(masked_dataset(rng, bridged))
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.floats(0.0, 0.95),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_incomplete_grids_match_oracle(self, I, J, missing, seed):
+        rng = np.random.default_rng(seed)
+        keep = rng.random((I, J)) >= missing
+        keep[np.arange(I), rng.integers(0, J, I)] = True
+        keep[rng.integers(0, I, J), np.arange(J)] = True
+        ds = masked_dataset(rng, keep)
+        # the additive design has full rank I+J-1 exactly when the table is connected
+        design = np.zeros((ds.n_obs, I + J))
+        design[np.arange(ds.n_obs), ds.rows] = 1.0
+        design[np.arange(ds.n_obs), I + ds.cols] = 1.0
+        if np.linalg.matrix_rank(design) < I + J - 1:
+            with pytest.raises(DegenerateInputError):
+                fit_additive(ds)
+        else:
+            assert_matches_oracle(ds)
+
+    def test_memory_stays_below_design_size(self):
+        # the n x (I+J-1) sum-coded design of this grid alone would be 38 MB
+        ds, _ = simulate(SimScenario(I=200, J=100, Q=2, lambda_true=(25.0, 12.0),
+                                     missing_fraction=0.2, seed=3))
+        tracemalloc.start()
+        try:
+            fit_additive(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestFitInteraction:

@@ -10,7 +10,7 @@ from ammivi.freqfit import frequentist_fit
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
                           ValidationError, cell_counts, dataset_from_labels,
                           default_hyperparams, load_csv, load_theta_csv,
-                          mean_matrix, model_mean, param_rows, write_csv,
+                          mean_matrix, param_rows, write_csv,
                           write_theta_csv)
 from ammivi.simulate import SimScenario, simulate
 from conftest import complete_dataset, random_dataset, random_theta
@@ -78,12 +78,12 @@ class TestModelMean:
         theta = ThetaPoint(mu=90.0, g=[1.0], e=[-2.0], lam=np.zeros(0),
                            gamma=np.zeros((1, 0)), delta=np.zeros((1, 0)),
                            sigma2=1.0)
-        assert model_mean(theta, 0, 0) == 89.0
+        assert mean_matrix(theta)[0, 0] == 89.0
 
     def test_single_product(self):
         theta = ThetaPoint(mu=0.0, g=[0.0], e=[0.0], lam=[12.0],
                            gamma=[[0.5]], delta=[[0.2]], sigma2=1.0)
-        assert model_mean(theta, 0, 0) == pytest.approx(1.2, abs=1e-12)
+        assert mean_matrix(theta)[0, 0] == pytest.approx(1.2, abs=1e-12)
 
     def test_matches_dense_matrix_oracle(self, rng):
         theta = random_theta(rng, 6, 5, 2)
@@ -93,9 +93,6 @@ class TestModelMean:
                   + np.outer(theta.g, np.ones(J))
                   + np.outer(np.ones(I), theta.e)
                   + theta.gamma @ np.diag(theta.lam) @ theta.delta.T)
-        for i in range(I):
-            for j in range(J):
-                assert model_mean(theta, i, j) == pytest.approx(oracle[i, j], abs=1e-12)
         assert np.allclose(mean_matrix(theta), oracle, atol=1e-12)
 
     @given(st.integers(0, 1), st.integers(0, 2 ** 31 - 1))
