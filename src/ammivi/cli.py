@@ -44,21 +44,25 @@ def _outdir(args) -> Path:
     return out
 
 
+def _sweep_limits(args) -> dict:
+    """--max-iter and --tol where given; ModelConfig's defaults apply otherwise."""
+    return {k: getattr(args, k) for k in ("max_iter", "tol") if hasattr(args, k)}
+
+
 def _model_config(args, dataset) -> ModelConfig:
-    return ModelConfig(Q=args.q, hyper=_parse_hyper(getattr(args, "hyper", None), dataset),
-                       max_iter=args.max_iter, tol=args.tol, seed=args.seed)
+    return ModelConfig(Q=args.q, hyper=_parse_hyper(args.hyper, dataset), seed=args.seed,
+                       **_sweep_limits(args))
 
 
-def _initial_theta(args, dataset, config):
-    mode = getattr(args, "init", "freq")
+def _initial_theta(mode, dataset, config, init_file=None):
     if mode == "freq":
         return frequentist_fit(dataset, config.Q)
     if mode == "random":
         return vi.random_theta(dataset, config.Q, np.random.default_rng(config.seed))
     if mode == "file":
-        if not getattr(args, "init_file", None):
+        if not init_file:
             raise ValidationError("--init file requires --init-file")
-        return load_theta_csv(args.init_file)
+        return load_theta_csv(init_file)
     if mode == "mcmc-short":
         return gibbs.mcmc_short_init(dataset, config)
     raise ValidationError(f"unknown init mode {mode!r}")
@@ -99,13 +103,12 @@ def run_fit_freq(args) -> int:
 
 def _fit_vi(args, dataset):
     config = _model_config(args, dataset)
-    init = _initial_theta(args, dataset, config)
-    return vi.fit(dataset, config, init), config
+    return vi.fit(dataset, config, _initial_theta(args.init, dataset, config, args.init_file))
 
 
 def run_fit_vi(args) -> int:
     dataset = load_csv(args.input)
-    result, _ = _fit_vi(args, dataset)
+    result = _fit_vi(args, dataset)
     out = _outdir(args)
     write_theta_csv(result.theta, out / "theta.csv")
     state = result.state
@@ -152,7 +155,7 @@ def run_fit_mcmc(args) -> int:
 def run_predict(args) -> int:
     analysis.check_n_draws(args.draws)
     dataset = load_csv(args.input)
-    result, _ = _fit_vi(args, dataset)
+    result = _fit_vi(args, dataset)
     summary = analysis.predict(result, dataset, n_draws=args.draws,
                                include_noise=args.include_noise, seed=args.seed)
     out = _outdir(args)
@@ -178,20 +181,14 @@ def run_compare(args) -> int:
 
 def run_init_study(args) -> int:
     scenario = simulate.scenario_by_name(args.scenario)
-    out = _outdir(args)
     rows = []
     for seed_offset in range(args.n_seeds):
         seed = args.seed + seed_offset
         dataset, truth = simulate.simulate(simulate.with_seed(scenario, seed))
         truth_cells = mean_matrix(truth)[dataset.rows, dataset.cols]
-        config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset),
-                             max_iter=args.max_iter, tol=args.tol, seed=seed)
-        inits = {
-            "random": vi.random_theta(dataset, config.Q, np.random.default_rng(seed)),
-            "freq": frequentist_fit(dataset, config.Q),
-            "mcmc-short": gibbs.mcmc_short_init(dataset, config),
-        }
-        for mode, init in inits.items():
+        config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset), seed=seed,
+                             **_sweep_limits(args))
+        for mode in ("random", "freq", "mcmc-short"):
             trace = []
 
             def record(sweep, state, mode=mode, trace=trace):
@@ -200,8 +197,9 @@ def run_init_study(args) -> int:
                 trace.append((sweep, analysis.rmse(fitted, dataset.y),
                               analysis.rmse(fitted, truth_cells)))
 
-            vi.fit(dataset, config, init, callback=record)
+            vi.fit(dataset, config, _initial_theta(mode, dataset, config), callback=record)
             rows += [(seed, mode, *entry) for entry in trace]
+    out = _outdir(args)
     write_rows(out / "init_study.csv",
                ["seed", "init", "iteration", "rmse_observed", "rmse_truth"], rows)
     print(f"wrote {out / 'init_study.csv'}")
@@ -229,19 +227,10 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        # each hyper line is one --hyper flag; a command-line --hyper appends after them
+        values[key] = values.get(key, []) + [val] if key == "hyper" else val
     return values
-
-
-def _add_common(p, with_fit=True):
-    p.add_argument("--output-dir", default=".", help="directory for output files")
-    p.add_argument("--seed", type=int, default=0)
-    if with_fit:
-        p.add_argument("--q", type=int, default=1, help="number of bilinear components")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-iter", type=int, default=1000)
-        p.add_argument("--hyper", action="append", metavar="KEY=VALUE",
-                       help="override a prior hyperparameter (repeatable)")
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -258,8 +247,9 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = []
 
-    def add_parser(*args, **kwargs):
-        p = sub.add_parser(*args, **kwargs)
+    def add_parser(name, func, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
         subparsers.append(p)
         return p
 
@@ -267,6 +257,19 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     # shares these action objects, and config defaults are set on them
     input_flag = argparse.ArgumentParser(add_help=False)
     input_flag.add_argument("--input", required=True)
+    output_flag = argparse.ArgumentParser(add_help=False)
+    output_flag.add_argument("--output-dir", default=".", help="directory for output files")
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=0)
+    q_flag = argparse.ArgumentParser(add_help=False)
+    q_flag.add_argument("--q", type=int, default=1, help="number of bilinear components")
+    sweep_flags = argparse.ArgumentParser(add_help=False)
+    sweep_flags.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    sweep_flags.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
+    hyper_flag = argparse.ArgumentParser(add_help=False)
+    hyper_flag.add_argument("--hyper", action="append", metavar="KEY=VALUE",
+                            help="override a prior hyperparameter (repeatable)")
+    fit_flags = [output_flag, seed_flag, q_flag, sweep_flags, hyper_flag]
     init_flags = argparse.ArgumentParser(add_help=False)
     init_flags.add_argument("--init", choices=["freq", "random", "file", "mcmc-short"],
                             default="freq")
@@ -276,7 +279,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     chain_flags.add_argument("--iters", type=int, default=6000)
     chain_flags.add_argument("--burn", type=int, default=1000)
 
-    p = add_parser("simulate", help="generate a synthetic trial dataset")
+    p = add_parser("simulate", run_simulate, help="generate a synthetic trial dataset")
     p.add_argument("--scenario", help="named scenario from the built-in grid")
     p.add_argument("--i", type=int, help="number of genotypes")
     p.add_argument("--j", type=int, help="number of environments")
@@ -288,48 +291,40 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--missing", type=float, default=0.0)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=run_simulate)
 
-    p = add_parser("fit-freq", help="frequentist multi-stage fit", parents=[input_flag])
-    _add_common(p)
-    p.set_defaults(func=run_fit_freq)
+    add_parser("fit-freq", run_fit_freq, help="frequentist multi-stage fit",
+               parents=[input_flag, output_flag, q_flag])
 
-    p = add_parser("fit-vi", help="coordinate-ascent variational fit",
-                   parents=[input_flag, init_flags])
-    _add_common(p)
-    p.set_defaults(func=run_fit_vi)
+    add_parser("fit-vi", run_fit_vi, help="coordinate-ascent variational fit",
+               parents=[input_flag, init_flags, *fit_flags])
 
-    p = add_parser("fit-mcmc", help="Gibbs sampler fit", parents=[input_flag, chain_flags])
+    p = add_parser("fit-mcmc", run_fit_mcmc, help="Gibbs sampler fit", parents=[
+        input_flag, chain_flags, output_flag, seed_flag, q_flag, hyper_flag])
     p.add_argument("--save-draws", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=run_fit_mcmc)
 
-    p = add_parser("predict", help="fit VI and export predictive quantile heatmaps",
-                   parents=[input_flag, init_flags])
-    p.add_argument("--draws", type=int, default=4000)
-    p.add_argument("--include-noise", action="store_true")
-    p.add_argument("--prefix", default="predict")
-    _add_common(p)
-    p.set_defaults(func=run_predict)
+    # parents come first in --help, so own flags that lead it are a parent too
+    own = argparse.ArgumentParser(add_help=False)
+    own.add_argument("--draws", type=int, default=4000)
+    own.add_argument("--include-noise", action="store_true")
+    own.add_argument("--prefix", default="predict")
+    add_parser("predict", run_predict, help="fit VI and export predictive quantile heatmaps",
+               parents=[input_flag, init_flags, own, *fit_flags])
 
-    p = add_parser("compare", help="fit both ways and compare posteriors",
-                   parents=[input_flag, chain_flags])
-    _add_common(p)
-    p.set_defaults(func=run_compare)
+    add_parser("compare", run_compare, help="fit both ways and compare posteriors",
+               parents=[input_flag, chain_flags, *fit_flags])
 
-    p = add_parser("init-study", help="per-iteration RMSE for three init modes")
+    p = add_parser("init-study", run_init_study, help="per-iteration RMSE for three init modes",
+                   parents=[output_flag, seed_flag, sweep_flags])
     p.add_argument("--scenario", default="init-study")
     p.add_argument("--n-seeds", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=run_init_study)
 
-    p = add_parser("benchmark", help="VI vs MCMC wall-time table")
-    p.add_argument("--group", choices=["small", "large"], required=True)
-    p.add_argument("--q-list", default="1,2")
-    p.add_argument("--smoke", action="store_true",
-                   help="reduced-iteration mode (100 Gibbs iterations per chain)")
-    _add_common(p, with_fit=False)
-    p.set_defaults(func=run_benchmark)
+    own = argparse.ArgumentParser(add_help=False)
+    own.add_argument("--group", choices=["small", "large"], required=True)
+    own.add_argument("--q-list", default="1,2")
+    own.add_argument("--smoke", action="store_true",
+                     help="reduced-iteration mode (100 Gibbs iterations per chain)")
+    add_parser("benchmark", run_benchmark, help="VI vs MCMC wall-time table",
+               parents=[own, output_flag, seed_flag])
 
     if config_defaults:
         # string defaults are re-parsed by argparse with each flag's type,

@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .freqfit import frequentist_fit
+from .freqfit import frequentist_fit, observed_grid
 from .model import (THETA_FIELDS, Dataset, DimensionMismatchError, Hyperparams, ModelConfig,
                     ThetaPoint, ValidationError, post_process)
-from .statsmath import gelman_rubin, sample_trunc_normal
+from .statsmath import DegenerateInputError, gelman_rubin, sample_trunc_normal
 
 
 @dataclass(frozen=True)
@@ -258,27 +258,34 @@ def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
+# mcmc_short_init: share of cells kept, and the single chain's scans and burn-in
+_SHORT_FRACTION = 0.25
+_SHORT_ITERS = 500
+_SHORT_BURN = 100
+
+
 def subsample_dataset(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Random cell subsample that keeps every row and column nonempty."""
+    """Random cell subsample of a connected table with every row and column nonempty."""
     n_keep = max(int(round(fraction * dataset.n_obs)), 1)
     for attempt in range(500):
         rng = np.random.default_rng([seed, attempt])
         pick = np.sort(rng.choice(dataset.n_obs, size=n_keep, replace=False))
         try:
-            return Dataset(rows=dataset.rows[pick], cols=dataset.cols[pick],
-                           y=dataset.y[pick],
-                           n_genotypes=dataset.n_genotypes,
-                           n_environments=dataset.n_environments,
-                           genotype_labels=dataset.genotype_labels,
-                           environment_labels=dataset.environment_labels)
-        except ValidationError:
+            sub = Dataset(rows=dataset.rows[pick], cols=dataset.cols[pick],
+                          y=dataset.y[pick],
+                          n_genotypes=dataset.n_genotypes,
+                          n_environments=dataset.n_environments,
+                          genotype_labels=dataset.genotype_labels,
+                          environment_labels=dataset.environment_labels)
+            observed_grid(sub)
+            return sub
+        except (ValidationError, DegenerateInputError):
             continue
-    raise ValidationError("could not subsample without emptying a row or column")
+    raise ValidationError("could not subsample to a connected table with no empty row or column")
 
 
-def mcmc_short_init(dataset: Dataset, config: ModelConfig, fraction: float = 0.25,
-                    n_iter: int = 500, n_burn: int = 100) -> ThetaPoint:
+def mcmc_short_init(dataset: Dataset, config: ModelConfig) -> ThetaPoint:
     """Initialization from a short Gibbs run on a 25% cell subsample."""
-    sub = subsample_dataset(dataset, fraction, config.seed)
-    draws = gibbs_fit(sub, config, n_chains=1, n_iter=n_iter, n_burn=n_burn)
+    sub = subsample_dataset(dataset, _SHORT_FRACTION, config.seed)
+    draws = gibbs_fit(sub, config, n_chains=1, n_iter=_SHORT_ITERS, n_burn=_SHORT_BURN)
     return posterior_mean_theta(draws)

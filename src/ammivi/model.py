@@ -86,6 +86,9 @@ class Hyperparams:
     b: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("sigma2_mu", "sigma2_g", "sigma2_e", "sigma2_lambda", "a", "b"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -147,8 +150,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.Q not in (0, 1, 2):
             raise ValueError("Q must be 0, 1 or 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not np.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from ammivi import gibbs, vi
+from ammivi import cli, gibbs, vi
 from ammivi.cli import main
 
 DUP_CSV = "genotype,environment,yield\nA,x,1\nA,x,2\nB,x,3\n"
@@ -258,6 +258,32 @@ class TestExitCodes:
                      "--hyper", "bogus=1",
                      "--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag", [["--hyper", "b=inf"], ["--hyper", "a=nan"],
+                                      ["--tol", "nan"]], ids=["b-inf", "a-nan", "tol-nan"])
+    def test_non_finite_setting_rejected_before_fitting(self, sim_dir, tmp_path, monkeypatch,
+                                                        flag):
+        forbid_calls(monkeypatch, (cli, "frequentist_fit"), (vi, "fit"))
+        out = tmp_path / "vi"
+        assert main(["fit-vi", "--input", str(sim_dir / "data.csv"), *flag,
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command_line", [
+        "fit-freq --seed 1", "fit-freq --tol 1e-3", "fit-freq --max-iter 5",
+        "fit-freq --hyper a=1", "fit-mcmc --tol 1e-3", "fit-mcmc --max-iter 5",
+        "init-study --q 2", "init-study --hyper a=1"])
+    def test_flag_the_subcommand_does_not_read(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                               command_line):
+        forbid_calls(monkeypatch, (cli, "frequentist_fit"), (vi, "fit"), (gibbs, "gibbs_fit"))
+        command, *flag = command_line.split()
+        data = [] if command == "init-study" else ["--input", str(sim_dir / "data.csv")]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *data, *flag, "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes", [["--chains", "0"], ["--iters", "0", "--burn", "0"],
                                        ["--burn", "-1"], ["--iters", "20", "--burn", "20"],
                                        ["--chains", "2", "--iters", "5", "--burn", "2"]],
@@ -321,6 +347,41 @@ class TestConfigFile:
         out = tmp_path / "shared"
         assert main(args + ["--output-dir", str(out)]) == 0
         assert dict(read_rows(out / "fit_summary.csv")[1:])["n_iter"] == "5"
+
+    def test_hyper_line_acts_like_a_flag(self, sim_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hyper = sigma2_g=5\nhyper = a=0.5\n")
+
+        def theta(tag, *args, config=False):
+            out = tmp_path / tag
+            assert main([*(["--config", str(cfg)] if config else []), "fit-vi",
+                         "--input", str(sim_dir / "data.csv"), "--max-iter", "5", *args,
+                         "--output-dir", str(out)]) == 0
+            return (out / "theta.csv").read_bytes()
+
+        flags = theta("flags", "--hyper", "sigma2_g=5", "--hyper", "a=0.5")
+        assert theta("cfg", config=True) == flags
+        assert theta("cfg-override", "--hyper", "sigma2_g=7", config=True) == theta(
+            "flags-override", "--hyper", "a=0.5", "--hyper", "sigma2_g=7")
+        assert theta("defaults") != flags
+
+    def test_fit_keys_shared_across_subcommands(self, sim_dir, tmp_path):
+        # fit-vi reads all three keys; fit-mcmc reads hyper and ignores the sweep limits
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter = 5\ntol = 1e-3\nhyper = sigma2_g=50\n")
+        data = ["--input", str(sim_dir / "data.csv")]
+        chains = ["--chains", "1", "--iters", "30", "--burn", "10"]
+        runs = {"vi-cfg": ["--config", str(cfg), "fit-vi", *data],
+                "vi-flags": ["fit-vi", *data, "--max-iter", "5", "--tol", "1e-3",
+                             "--hyper", "sigma2_g=50"],
+                "mcmc-cfg": ["--config", str(cfg), "fit-mcmc", *data, *chains],
+                "mcmc-flags": ["fit-mcmc", *data, *chains, "--hyper", "sigma2_g=50"]}
+        theta = {}
+        for tag, args in runs.items():
+            assert main([*args, "--output-dir", str(tmp_path / tag)]) == 0
+            theta[tag] = (tmp_path / tag / "theta.csv").read_bytes()
+        assert theta["vi-cfg"] == theta["vi-flags"]
+        assert theta["mcmc-cfg"] == theta["mcmc-flags"]
 
     def test_missing_config_io(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg"), "simulate",

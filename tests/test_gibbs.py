@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ammivi import gibbs, vi
-from ammivi.model import Hyperparams, ModelConfig, ThetaPoint
+from ammivi.model import Hyperparams, ModelConfig, ThetaPoint, default_hyperparams
 from ammivi.simulate import SimScenario, simulate
 from ammivi.statsmath import gelman_rubin
 from conftest import complete_dataset, random_dataset, random_theta
@@ -172,6 +172,17 @@ class TestGibbsFit:
         assert draws.flat("mu").mean() == pytest.approx(oracle_mu, abs=0.02)
         assert np.allclose(draws.flat("g").mean(axis=0), oracle_g, atol=0.02)
         assert np.allclose(draws.flat("e").mean(axis=0), oracle_e, atol=0.02)
+
+
+class TestMcmcShortInit:
+    # on a 6 x 10 grid a 25% subsample (15 cells) is often a disconnected table
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_grid(self, seed):
+        ds, _ = simulate(SimScenario(I=6, J=10, Q=0, lambda_true=(), seed=seed))
+        config = ModelConfig(Q=0, hyper=default_hyperparams(ds), seed=seed)
+        theta = gibbs.mcmc_short_init(ds, config)
+        assert theta.g.shape == (6,) and theta.e.shape == (10,)
+        assert np.isfinite(theta.mu) and theta.sigma2 > 0
 
 
 class TestSummaries:

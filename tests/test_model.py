@@ -54,6 +54,13 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(a=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["mu_mu", "sigma2_mu", "sigma2_g", "sigma2_e",
+                                      "sigma2_lambda", "a", "b"])
+    def test_finite_required(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Hyperparams(**{name: value})
+
     def test_defaults_center_on_grand_mean(self):
         ds = complete_dataset([[1.0, 2.0], [3.0, 4.0]])
         h = default_hyperparams(ds)
@@ -71,6 +78,11 @@ class TestModelConfig:
             ModelConfig(Q=3, hyper=hyper)
         with pytest.raises(ValueError):
             ModelConfig(Q=1, hyper=hyper, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_finite_tol_required(self, hyper, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            ModelConfig(Q=1, hyper=hyper, tol=tol)
 
 
 class TestModelMean:
