@@ -219,12 +219,18 @@ def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> Comparison
 
 
 def benchmark_rows(group: str, q_values=(1, 2), smoke: bool = False, seed: int = 0):
-    """Timing rows (name, I, J, Q, n, vi_time, mcmc_time, ratio) for one size group."""
+    """Timing rows (name, I, J, Q, n, vi_time, mcmc_time, ratio) for one size group.
+
+    Raises ValidationError before any fit if a Q in q_values has no scenario in the group.
+    """
+    scenarios = [s for s in simulate.scenario_grid() if s.name.startswith(f"bench-{group}-")]
+    group_qs = sorted({s.Q for s in scenarios})
+    if not set(q_values) <= set(group_qs):
+        raise ValidationError(f"benchmark group {group!r} has Q in {group_qs}; "
+                              f"got {sorted(set(q_values))}")
     n_iter, n_burn = (100, 25) if smoke else (6000, 1000)
     rows = []
-    for scenario in simulate.scenario_grid():
-        if not scenario.name.startswith(f"bench-{group}-"):
-            continue
+    for scenario in scenarios:
         if scenario.Q not in q_values:
             continue
         dataset, _ = simulate.simulate(simulate.with_seed(scenario, scenario.seed + seed))

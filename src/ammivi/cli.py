@@ -55,37 +55,47 @@ def _model_config(args, dataset) -> ModelConfig:
 
 
 def _initial_theta(mode, dataset, config, init_file=None):
+    if (mode == "file") != bool(init_file):
+        raise ValidationError("--init file and --init-file go together: give both or neither")
     if mode == "freq":
         return frequentist_fit(dataset, config.Q)
     if mode == "random":
         return vi.random_theta(dataset, config.Q, np.random.default_rng(config.seed))
     if mode == "file":
-        if not init_file:
-            raise ValidationError("--init file requires --init-file")
         return load_theta_csv(init_file)
     if mode == "mcmc-short":
         return gibbs.mcmc_short_init(dataset, config)
     raise ValidationError(f"unknown init mode {mode!r}")
 
 
+# simulate's custom-grid flags, by dest, and the SimScenario field each sets;
+# they default to argparse.SUPPRESS, so only the given ones are attributes
+_CUSTOM_GRID = {"i": "I", "j": "J", "lam": "lambda_true", "sigma2_g": "sigma2_g",
+                "sigma2_e": "sigma2_e", "sigma2_y": "sigma2_y", "mu_mean": "mu_mean",
+                "missing": "missing_fraction"}
+
+
 def _scenario_from_args(args) -> simulate.SimScenario:
+    custom = {field: getattr(args, dest) for dest, field in _CUSTOM_GRID.items()
+              if hasattr(args, dest)}
     if args.scenario:
+        if custom:
+            raise ValidationError("--scenario takes none of --i, --j, --lambda, --sigma2-g, "
+                                  "--sigma2-e, --sigma2-y, --mu-mean, --missing")
         scenario = simulate.scenario_by_name(args.scenario)
         return simulate.with_seed(scenario, args.seed) if args.seed is not None else scenario
-    if args.i is None or args.j is None:
+    if "I" not in custom or "J" not in custom:
         raise ValidationError("either --scenario or --i/--j/--lambda are required")
-    lam = tuple(float(v) for v in args.lam.split(",")) if args.lam else ()
-    return simulate.SimScenario(I=args.i, J=args.j, Q=len(lam), lambda_true=lam,
-                               sigma2_g=args.sigma2_g, sigma2_e=args.sigma2_e,
-                               sigma2_y=args.sigma2_y, mu_mean=args.mu_mean,
+    lam_text = custom.pop("lambda_true", "")
+    lam = tuple(float(v) for v in lam_text.split(",")) if lam_text else ()
+    return simulate.SimScenario(Q=len(lam), lambda_true=lam,
                                seed=args.seed if args.seed is not None else 0,
-                               missing_fraction=args.missing, name="custom")
+                               name="custom", **custom)
 
 
 def run_simulate(args) -> int:
+    dataset, truth = simulate.simulate(_scenario_from_args(args))
     out = _outdir(args)
-    scenario = _scenario_from_args(args)
-    dataset, truth = simulate.simulate(scenario)
     write_csv(dataset, out / "data.csv")
     write_theta_csv(truth, out / "truth.csv")
     print(f"wrote {out / 'data.csv'} ({dataset.n_obs} observations) and truth.csv")
@@ -146,9 +156,10 @@ def run_fit_mcmc(args) -> int:
                     in param_rows(gibbs.rhat_table(draws).items())))
     if args.save_draws:
         write_rows(out / "draws_scalar.csv", ["chain", "iteration", "mu", "sigma2"],
-                   ((c + 1, t + 1, draws.mu[c, t], draws.sigma2[c, t])
+                   ((c + 1, args.burn + t + 1, draws.mu[c, t], draws.sigma2[c, t])
                     for c in range(draws.n_chains) for t in range(draws.n_iter)))
-    print(f"wrote {out / 'mcmc_summary.csv'} ({draws.n_chains} chains x {draws.n_iter})")
+    print(f"wrote {out / 'mcmc_summary.csv'} ({draws.n_chains} chains x {draws.n_iter} "
+          f"draws after {args.burn} burn-in)")
     return 0
 
 
@@ -180,6 +191,8 @@ def run_compare(args) -> int:
 
 
 def run_init_study(args) -> int:
+    if args.n_seeds < 1:
+        raise ValidationError(f"--n-seeds must be >= 1, got {args.n_seeds}")
     scenario = simulate.scenario_by_name(args.scenario)
     rows = []
     for seed_offset in range(args.n_seeds):
@@ -281,14 +294,15 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = add_parser("simulate", run_simulate, help="generate a synthetic trial dataset")
     p.add_argument("--scenario", help="named scenario from the built-in grid")
-    p.add_argument("--i", type=int, help="number of genotypes")
-    p.add_argument("--j", type=int, help="number of environments")
-    p.add_argument("--lambda", dest="lam", help="comma-separated singular values")
-    p.add_argument("--sigma2-g", type=float, default=10.0)
-    p.add_argument("--sigma2-e", type=float, default=10.0)
-    p.add_argument("--sigma2-y", type=float, default=1.0)
-    p.add_argument("--mu-mean", type=float, default=90.0)
-    p.add_argument("--missing", type=float, default=0.0)
+    custom = p.add_argument_group("custom grid (instead of --scenario)",
+                                  "left out, SimScenario's defaults apply")
+    custom.add_argument("--i", type=int, default=argparse.SUPPRESS, help="number of genotypes")
+    custom.add_argument("--j", type=int, default=argparse.SUPPRESS,
+                        help="number of environments")
+    custom.add_argument("--lambda", dest="lam", default=argparse.SUPPRESS,
+                        help="comma-separated singular values")
+    for flag in ("--sigma2-g", "--sigma2-e", "--sigma2-y", "--mu-mean", "--missing"):
+        custom.add_argument(flag, type=float, default=argparse.SUPPRESS)
     p.add_argument("--output-dir", default=".")
     p.add_argument("--seed", type=int, default=None)
 

@@ -21,7 +21,7 @@ from .statsmath import DegenerateInputError, gelman_rubin, sample_trunc_normal
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """Post-processed posterior draws, indexed (chain, iteration, ...)."""
+    """Post-processed posterior draws kept after burn-in, indexed (chain, iteration, ...)."""
 
     mu: np.ndarray
     g: np.ndarray
@@ -30,7 +30,6 @@ class PosteriorDraws:
     gamma: np.ndarray
     delta: np.ndarray
     sigma2: np.ndarray
-    n_burn: int
     wall_time: float = 0.0
 
     @property
@@ -45,13 +44,9 @@ class PosteriorDraws:
     def n_components(self) -> int:
         return self.lam.shape[2]
 
-    def kept(self, name: str) -> np.ndarray:
-        """Post-burn-in draws of one block, chain axis preserved."""
-        return getattr(self, name)[:, self.n_burn:]
-
     def flat(self, name: str) -> np.ndarray:
-        """Post-burn-in draws of one block, chains concatenated."""
-        arr = self.kept(name)
+        """Draws of one block, chains concatenated (a view, not a copy)."""
+        arr = getattr(self, name)
         return arr.reshape(arr.shape[0] * arr.shape[1], *arr.shape[2:])
 
 
@@ -173,11 +168,12 @@ def _jittered_init(base: ThetaPoint, rng: np.random.Generator) -> ThetaPoint:
 def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
               n_iter: int = 6000, n_burn: int = 1000,
               init: ThetaPoint | None = None) -> PosteriorDraws:
-    """Run the Gibbs sampler and return draw-wise post-processed draws.
+    """Run the Gibbs sampler and return the post-processed draws after burn-in.
 
     Chains start at the frequentist fit perturbed by chain-seeded
     Normal(0, 0.1^2) jitter and run sequentially with independent RNG
-    streams derived from config.seed.
+    streams derived from config.seed. Each chain runs n_iter scans; only
+    the last n_iter - n_burn are post-processed and stored.
     """
     if n_chains < 1 or n_iter < 1 or not 0 <= n_burn < n_iter:
         raise ValueError(f"need n_chains >= 1, n_iter >= 1 and 0 <= n_burn < n_iter; "
@@ -188,7 +184,7 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     base = init if init is not None else frequentist_fit(dataset, Q)
     if base.g.size != I or base.e.size != J or base.n_components != Q:
         raise DimensionMismatchError("init dimensions do not match dataset/config")
-    store = {name: np.empty((n_chains, n_iter, *np.shape(getattr(base, name))))
+    store = {name: np.empty((n_chains, n_iter - n_burn, *np.shape(getattr(base, name))))
              for name in THETA_FIELDS}
 
     for c in range(n_chains):
@@ -221,21 +217,23 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
             shape, rate = _cond_tau(theta, dataset, hyper)
             theta = replace(theta, sigma2=1.0 / rng.gamma(shape, 1.0 / rate))
 
+            if t < n_burn:
+                continue
             # identifiable representative for reporting; the chain itself
             # keeps running on the unconstrained values
             rep = post_process(theta)
             for name in THETA_FIELDS:
-                store[name][c, t] = getattr(rep, name)
+                store[name][c, t - n_burn] = getattr(rep, name)
 
-    return PosteriorDraws(**store, n_burn=n_burn, wall_time=time.perf_counter() - t0)
+    return PosteriorDraws(**store, wall_time=time.perf_counter() - t0)
 
 
 def rhat_table(draws: PosteriorDraws) -> dict[str, np.ndarray]:
-    """Split-chain R-hat per scalar parameter, on post-burn-in draws."""
+    """Split-chain R-hat per scalar parameter."""
     out = {}
     for name in ("mu", "sigma2", "g", "e", "lam"):
         # chain and iteration axes last, so one entry's index picks its (chains x iter) draws
-        arr = np.moveaxis(draws.kept(name), (0, 1), (-2, -1))
+        arr = np.moveaxis(getattr(draws, name), (0, 1), (-2, -1))
         out[name] = np.reshape([gelman_rubin(arr[idx]) for idx in np.ndindex(arr.shape[:-2])],
                                arr.shape[:-2])
     return out
@@ -246,9 +244,9 @@ def posterior_mean_theta(draws: PosteriorDraws) -> ThetaPoint:
 
 
 def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
-    """Per-parameter mean and 5/50/95% quantiles of post-burn-in draws."""
-    if draws.n_iter <= draws.n_burn:
-        raise ValueError("no post-burn-in draws to summarize")
+    """Per-parameter mean and 5/50/95% quantiles of the draws."""
+    if draws.n_iter == 0:
+        raise ValueError("no draws to summarize")
     out = {}
     for name in THETA_FIELDS:
         flat = draws.flat(name)

@@ -130,10 +130,12 @@ def scenario_grid() -> list[SimScenario]:
 
 
 def scenario_by_name(name: str) -> SimScenario:
-    for s in scenario_grid():
+    """The named scenario of scenario_grid(); ValueError listing the names if unknown."""
+    grid = scenario_grid()
+    for s in grid:
         if s.name == name:
             return s
-    raise KeyError(f"unknown scenario {name!r}")
+    raise ValueError(f"unknown scenario {name!r}; known: {', '.join(s.name for s in grid)}")
 
 
 def with_seed(s: SimScenario, seed: int) -> SimScenario:

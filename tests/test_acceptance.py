@@ -231,7 +231,7 @@ def test_criterion_9_numerical_primitives(rng):
         mu=np.arange(1.0, 101.0).reshape(1, 100),
         g=np.zeros((1, 100, 1)), e=np.zeros((1, 100, 1)),
         lam=np.ones((1, 100, 1)), gamma=np.ones((1, 100, 1, 1)),
-        delta=np.zeros((1, 100, 1, 1)), sigma2=np.ones((1, 100)), n_burn=0)
+        delta=np.zeros((1, 100, 1, 1)), sigma2=np.ones((1, 100)))
     summary = gibbs.summarize(draws)
     assert summary["mu"]["q50"] == pytest.approx(50.5, abs=1e-12)
     assert summary["mu"]["q05"] == pytest.approx(1.0 + 0.05 * 99, abs=1e-12)

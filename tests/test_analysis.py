@@ -238,7 +238,7 @@ class TestCompare:
             lam=np.broadcast_to(theta.lam, shape + (Q,)).copy(),
             gamma=np.broadcast_to(theta.gamma, shape + (I, Q)).copy(),
             delta=np.broadcast_to(theta.delta, shape + (J, Q)).copy(),
-            sigma2=np.full(shape, theta.sigma2), n_burn=0)
+            sigma2=np.full(shape, theta.sigma2))
 
     def test_self_comparison_zero_gaps(self):
         ds, fit = small_fit()

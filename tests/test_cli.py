@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from ammivi import cli, gibbs, vi
+from ammivi import cli, gibbs, simulate, vi
 from ammivi.cli import main
 
 DUP_CSV = "genotype,environment,yield\nA,x,1\nA,x,2\nB,x,3\n"
@@ -162,7 +162,10 @@ class TestFits:
         for name in ("mcmc_summary.csv", "theta.csv", "rhat.csv",
                      "draws_scalar.csv"):
             assert (out / name).exists()
-        assert len(read_rows(out / "draws_scalar.csv")) == 1 + 2 * 60
+        scalar_rows = read_rows(out / "draws_scalar.csv")[1:]
+        assert len(scalar_rows) == 2 * (60 - 20)
+        assert [(row[0], row[1]) for row in scalar_rows] == [
+            (str(c), str(t)) for c in (1, 2) for t in range(21, 61)]
         assert_numeric_csvs(out, 4)
         summary_names = {row[0] for row in read_rows(out / "mcmc_summary.csv")[1:]}
         rhat_names = {row[0] for row in read_rows(out / "rhat.csv")[1:]}
@@ -282,6 +285,37 @@ class TestExitCodes:
             main([command, *data, *flag, "--output-dir", str(out)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    # each as (command line, config file line, message on stderr)
+    @pytest.mark.parametrize("command_line, config_line, message", [
+        ("fit-vi --init-file /nonexistent.csv", "", "--init-file"),
+        ("predict --init-file /nonexistent.csv", "", "--init-file"),
+        ("fit-vi", "init-file = /nonexistent.csv", "--init-file"),
+        ("simulate --scenario recovery-q2 --i 5 --j 4", "", "--scenario takes none"),
+        ("simulate --scenario recovery-q2 --missing 0.1", "", "--scenario takes none"),
+        ("simulate --scenario recovery-q2", "sigma2-y = 2", "--scenario takes none"),
+        ("simulate --scenario bogus", "", "known: init-study, "),
+        ("init-study --scenario bogus", "", "known: init-study, "),
+        ("init-study --n-seeds 0", "", "--n-seeds"),
+        ("benchmark --group small --q-list 1,3", "", "has Q in [1, 2]"),
+    ], ids=["init-file-fit-vi", "init-file-predict", "init-file-config-line",
+            "scenario-with-dims", "scenario-with-missing", "scenario-with-config-line",
+            "simulate-unknown-scenario", "init-study-unknown-scenario", "init-study-no-seeds",
+            "benchmark-unknown-q"])
+    def test_ignored_or_unknown_setting_rejected_before_any_work(
+            self, sim_dir, tmp_path, monkeypatch, capsys, command_line, config_line, message):
+        forbid_calls(monkeypatch, (cli, "frequentist_fit"), (vi, "fit"), (gibbs, "gibbs_fit"),
+                     (simulate, "simulate"))
+        command, *flags = command_line.split()
+        data = ["--input", str(sim_dir / "data.csv")] if command in ("fit-vi", "predict") else []
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_line + "\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), command, *data, *flags,
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("sizes", [["--chains", "0"], ["--iters", "0", "--burn", "0"],

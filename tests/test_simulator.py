@@ -99,5 +99,5 @@ class TestScenarioGrid:
             scenario_by_name(name)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="known: init-study, "):
             scenario_by_name("nope")
