@@ -233,7 +233,7 @@ def run_benchmark(args) -> int:
 
 def _read_config_file(path) -> dict:
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

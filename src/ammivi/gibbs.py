@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .freqfit import frequentist_fit, observed_grid
+from .freqfit import frequentist_fit
 from .model import (THETA_FIELDS, Dataset, DimensionMismatchError, Hyperparams, ModelConfig,
-                    ThetaPoint, ValidationError, post_process)
-from .statsmath import DegenerateInputError, gelman_rubin, sample_trunc_normal
+                    ThetaPoint, post_process)
+from .statsmath import gelman_rubin, sample_trunc_normal
 
 
 @dataclass(frozen=True)
@@ -256,34 +256,10 @@ def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
     return out
 
 
-# mcmc_short_init: share of cells kept, and the single chain's scans and burn-in
-_SHORT_FRACTION = 0.25
-_SHORT_ITERS = 500
-_SHORT_BURN = 100
-
-
-def subsample_dataset(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Random cell subsample of a connected table with every row and column nonempty."""
-    n_keep = max(int(round(fraction * dataset.n_obs)), 1)
-    for attempt in range(500):
-        rng = np.random.default_rng([seed, attempt])
-        pick = np.sort(rng.choice(dataset.n_obs, size=n_keep, replace=False))
-        try:
-            sub = Dataset(rows=dataset.rows[pick], cols=dataset.cols[pick],
-                          y=dataset.y[pick],
-                          n_genotypes=dataset.n_genotypes,
-                          n_environments=dataset.n_environments,
-                          genotype_labels=dataset.genotype_labels,
-                          environment_labels=dataset.environment_labels)
-            observed_grid(sub)
-            return sub
-        except (ValidationError, DegenerateInputError):
-            continue
-    raise ValidationError("could not subsample to a connected table with no empty row or column")
-
-
 def mcmc_short_init(dataset: Dataset, config: ModelConfig) -> ThetaPoint:
-    """Initialization from a short Gibbs run on a 25% cell subsample."""
-    sub = subsample_dataset(dataset, _SHORT_FRACTION, config.seed)
-    draws = gibbs_fit(sub, config, n_chains=1, n_iter=_SHORT_ITERS, n_burn=_SHORT_BURN)
-    return posterior_mean_theta(draws)
+    """Initialization from the posterior mean of one short Gibbs chain on all cells.
+
+    125 scans with 25 burn-in; the chain starts at the frequentist fit, so
+    any table that fit accepts gets a start.
+    """
+    return posterior_mean_theta(gibbs_fit(dataset, config, n_chains=1, n_iter=125, n_burn=25))

@@ -224,7 +224,7 @@ def dataset_from_labels(genotypes, environments, values) -> Dataset:
 def load_csv(path) -> Dataset:
     """Read a long-format trial CSV with header genotype,environment,yield."""
     genotypes, environments, values = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -291,7 +291,7 @@ def load_theta_csv(path) -> ThetaPoint:
     """
     fields_by_name = {PARAM_NAMES.get(f, f): f for f in THETA_FIELDS}
     entries: dict[str, dict] = {f: {} for f in THETA_FIELDS}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != THETA_HEADER:
             raise ValidationError(f"{path}: expected header {','.join(THETA_HEADER)}")

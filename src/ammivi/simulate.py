@@ -6,8 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, ThetaPoint, mean_matrix
-from .statsmath import orthonormalize_interaction
+from .freqfit import observed_grid
+from .model import Dataset, ThetaPoint, ValidationError, mean_matrix
+from .statsmath import DegenerateInputError, orthonormalize_interaction
 
 
 @dataclass(frozen=True)
@@ -68,31 +69,35 @@ def simulate(s: SimScenario) -> tuple[Dataset, ThetaPoint]:
                        sigma2=s.sigma2_y)
     y = mean_matrix(truth) + rng.normal(0.0, np.sqrt(s.sigma2_y), (s.I, s.J))
 
-    keep = _missing_mask(rng, s)
-    rows, cols = np.nonzero(keep)
-    dataset = Dataset(
-        rows=rows, cols=cols, y=y[rows, cols],
-        n_genotypes=s.I, n_environments=s.J,
-        genotype_labels=tuple(_default_labels("g", s.I)),
-        environment_labels=tuple(_default_labels("e", s.J)))
-    return dataset, truth
+    return _observe(rng, s, y), truth
 
 
-def _missing_mask(rng: np.random.Generator, s: SimScenario) -> np.ndarray:
-    """Boolean keep-mask leaving every row and column nonempty."""
+def _observe(rng: np.random.Generator, s: SimScenario, y: np.ndarray) -> Dataset:
+    """The cells of y kept by a random missing pattern that leaves a connected table.
+
+    A connected table has every row and column nonempty, so the fitters can
+    fit it; a pattern that is not is redrawn.
+    """
     n_cells = s.I * s.J
     n_drop = int(round(s.missing_fraction * n_cells))
-    if n_drop == 0:
-        return np.ones((s.I, s.J), dtype=bool)
-    if n_cells - n_drop < max(s.I, s.J):
-        raise ValueError("missing_fraction too high to keep all rows and columns nonempty")
+    if n_cells - n_drop < s.I + s.J - 1:
+        raise ValueError("missing_fraction too high to leave a connected table")
     for _ in range(200):
         keep = np.ones(n_cells, dtype=bool)
-        keep[rng.choice(n_cells, size=n_drop, replace=False)] = False
-        mask = keep.reshape(s.I, s.J)
-        if mask.any(axis=1).all() and mask.any(axis=0).all():
-            return mask
-    raise ValueError("could not find a missing pattern keeping rows and columns nonempty")
+        if n_drop:
+            keep[rng.choice(n_cells, size=n_drop, replace=False)] = False
+        rows, cols = np.divmod(np.flatnonzero(keep), s.J)
+        try:
+            dataset = Dataset(
+                rows=rows, cols=cols, y=y[rows, cols],
+                n_genotypes=s.I, n_environments=s.J,
+                genotype_labels=tuple(_default_labels("g", s.I)),
+                environment_labels=tuple(_default_labels("e", s.J)))
+            observed_grid(dataset)
+            return dataset
+        except (ValidationError, DegenerateInputError):
+            continue
+    raise ValueError("could not find a missing pattern leaving a connected table")
 
 
 def scenario_grid() -> list[SimScenario]:

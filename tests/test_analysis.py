@@ -1,6 +1,7 @@
 """Predictive summaries, RMSE, heatmap export and comparison reports."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ class TestExportHeatmap:
         paths = export_heatmap(summary, ds, tmp_path / "hm")
         assert len(paths) == 4
         for path in paths:
-            lines = open(path).read().strip().splitlines()
+            lines = Path(path).read_text().strip().splitlines()
             assert len(lines) == 7  # header + 6 genotypes
             assert lines[0].split(",")[0] == "genotype"
             assert len(lines[1].split(",")) == 6  # label + 5 environments
@@ -222,7 +223,7 @@ class TestExportHeatmap:
         paths1 = export_heatmap(summary, ds, tmp_path / "a")
         paths2 = export_heatmap(summary, ds, tmp_path / "b")
         for p1, p2 in zip(paths1, paths2):
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
         reloaded = np.loadtxt(paths1[1], delimiter=",", skiprows=1,
                               usecols=range(1, 6))
         assert np.max(np.abs(reloaded - summary.q50)) < 1e-9
@@ -261,7 +262,7 @@ class TestCompare:
         report.to_csv(tmp_path / "cmp.csv")
         text = report.to_text()
         assert "RMSE" in text and "ratio" in text
-        lines = open(tmp_path / "cmp.csv").read().strip().splitlines()
+        lines = (tmp_path / "cmp.csv").read_text().strip().splitlines()
         assert lines[0].startswith("parameter,")
         assert len(lines) == 1 + len(report.rows)
 

@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes, config file."""
 
+import codecs
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ammivi import cli, gibbs, simulate, vi
 from ammivi.cli import main
+from ammivi.model import load_csv, load_theta_csv
 
 DUP_CSV = "genotype,environment,yield\nA,x,1\nA,x,2\nB,x,3\n"
 # genotypes A, B grown only in x, y and C, D only in z, w: a disconnected table
@@ -152,6 +155,18 @@ class TestFits:
     def test_init_file_flag_required(self, sim_dir, tmp_path):
         assert main(["fit-vi", "--input", str(sim_dir / "data.csv"),
                      "--init", "file", "--output-dir", str(tmp_path)]) == 2
+
+    def test_fit_vi_mcmc_short_on_sparse_grid(self, tmp_path):
+        # criterion 7's layout: 810 of 85 x 17 cells observed
+        sim = tmp_path / "sparse"
+        assert main(["simulate", "--i", "85", "--j", "17", "--lambda", "25,12",
+                     "--missing", str(1 - 810 / (85 * 17)), "--seed", "3",
+                     "--output-dir", str(sim)]) == 0
+        assert len(read_rows(sim / "data.csv")) == 1 + 810
+        out = tmp_path / "vi"
+        assert main(["fit-vi", "--input", str(sim / "data.csv"), "--q", "2",
+                     "--init", "mcmc-short", "--output-dir", str(out)]) == 0
+        assert_numeric_csvs(out, 4)
 
     def test_fit_mcmc_outputs(self, sim_dir, tmp_path):
         out = tmp_path / "mcmc"
@@ -340,6 +355,25 @@ class TestExitCodes:
             assert main(["predict", "--input", str(sim_dir / "data.csv"), "--draws", draws,
                          "--output-dir", str(out)]) == 2
             assert not out.exists()
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("reader, text", [
+        (load_csv, "genotype,environment,yield\nA,x,1.5\nA,y,2\nB,x,3\nB,y,4.25\n"),
+        (load_theta_csv, "parameter,index1,index2,value\nmu,,,1.0\ng,1,,0.5\ng,2,,-0.5\n"
+                         "e,1,,0.1\ne,2,,-0.1\nsigma2,,,2.0\n"),
+        (cli._read_config_file, "q = 1\nmax-iter = 5\nhyper = a=0.5\n"),
+    ], ids=["data", "theta", "config"])
+    def test_bom_file_reads_like_plain_file(self, tmp_path, reader, text):
+        plain, marked = tmp_path / "plain", tmp_path / "bom"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        a, b = reader(plain), reader(marked)
+        if isinstance(a, dict):
+            assert a == b
+        else:
+            for f in fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 class TestConfigFile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ammivi import gibbs, vi
-from ammivi.model import Hyperparams, ModelConfig, ThetaPoint, default_hyperparams
+from ammivi.model import THETA_FIELDS, Hyperparams, ModelConfig, ThetaPoint, default_hyperparams
 from ammivi.simulate import SimScenario, simulate
 from ammivi.statsmath import gelman_rubin
 from conftest import complete_dataset, random_dataset, random_theta
@@ -185,14 +185,28 @@ class TestGibbsFit:
 
 
 class TestMcmcShortInit:
-    # on a 6 x 10 grid a 25% subsample (15 cells) is often a disconnected table
+    def assert_finite_start(self, ds, Q, seed):
+        config = ModelConfig(Q=Q, hyper=default_hyperparams(ds), seed=seed)
+        theta = gibbs.mcmc_short_init(ds, config)
+        assert theta.g.shape == (ds.n_genotypes,) and theta.e.shape == (ds.n_environments,)
+        assert theta.lam.shape == (Q,) and theta.gamma.shape == (ds.n_genotypes, Q)
+        for name in THETA_FIELDS:
+            assert np.all(np.isfinite(getattr(theta, name))), name
+        assert theta.sigma2 > 0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_small_grid(self, seed):
-        ds, _ = simulate(SimScenario(I=6, J=10, Q=0, lambda_true=(), seed=seed))
-        config = ModelConfig(Q=0, hyper=default_hyperparams(ds), seed=seed)
-        theta = gibbs.mcmc_short_init(ds, config)
-        assert theta.g.shape == (6,) and theta.e.shape == (10,)
-        assert np.isfinite(theta.mu) and theta.sigma2 > 0
+        for Q in (0, 1, 2):
+            ds, _ = simulate(SimScenario(I=6, J=10, Q=Q, lambda_true=(20.0, 8.0)[:Q],
+                                         seed=seed))
+            self.assert_finite_start(ds, Q, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_85x17_grid(self, seed):
+        ds, _ = simulate(SimScenario(I=85, J=17, Q=2, lambda_true=(25.0, 12.0),
+                                     missing_fraction=1.0 - 810.0 / (85 * 17), seed=seed))
+        assert ds.n_obs == 810
+        self.assert_finite_start(ds, 2, seed)
 
 
 class TestSummaries:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ammivi.freqfit import observed_grid
 from ammivi.model import mean_matrix
 from ammivi.simulate import SimScenario, scenario_by_name, scenario_grid, simulate
 
@@ -64,9 +65,19 @@ class TestSimulate:
         assert np.unique(dataset.rows).size == 25
         assert np.unique(dataset.cols).size == 12
 
+    def test_sparse_tables_are_connected(self):
+        # a pattern with every row and column nonempty can still split the table
+        for seed in range(100):
+            dataset, _ = simulate(make(I=10, J=10, missing_fraction=0.7, seed=seed))
+            assert dataset.n_obs == 30
+            observed_grid(dataset)
+
     def test_missing_too_high(self):
         with pytest.raises(ValueError):
             simulate(make(missing_fraction=0.95))
+        # 18 cells can fill 10 rows and 10 columns but cannot connect them
+        with pytest.raises(ValueError, match="connected"):
+            simulate(make(I=10, J=10, missing_fraction=0.82))
 
     def test_noise_variance_at_scale(self):
         dataset, truth = simulate(make(I=120, J=100, sigma2_y=1.0, seed=3))
