@@ -84,8 +84,7 @@ def _observe(rng: np.random.Generator, s: SimScenario, y: np.ndarray) -> Dataset
         raise ValueError("missing_fraction too high to leave a connected table")
     for _ in range(200):
         keep = np.ones(n_cells, dtype=bool)
-        if n_drop:
-            keep[rng.choice(n_cells, size=n_drop, replace=False)] = False
+        keep[rng.choice(n_cells, size=n_drop, replace=False)] = False
         rows, cols = np.divmod(np.flatnonzero(keep), s.J)
         try:
             dataset = Dataset(
