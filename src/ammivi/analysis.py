@@ -190,7 +190,8 @@ def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> Comparison
     Q = vi.state.n_components
     if (mcmc.n_components != Q or mcmc.g.shape[2] != dataset.n_genotypes
             or mcmc.e.shape[2] != dataset.n_environments
-            or vi.state.mu_q_g.size != dataset.n_genotypes):
+            or vi.state.mu_q_g.size != dataset.n_genotypes
+            or vi.state.mu_q_e.size != dataset.n_environments):
         raise DimensionMismatchError("fits disagree on I, J or Q")
 
     theta_vi = vi.theta

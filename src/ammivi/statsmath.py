@@ -8,7 +8,7 @@ split-chain Gelman-Rubin diagnostic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri_exp
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -62,38 +62,16 @@ def sample_trunc_normal(rng: np.random.Generator, location: float, scale_sq: flo
                         size: int | None = None):
     """Draw from N(location, scale_sq) truncated to x > 0.
 
-    Uses plain rejection from the parent normal when the kept mass is
-    large, and Robert's translated-exponential rejection in the tail.
+    Exact inversion of the upper tail in log space, one uniform u per draw:
+    with s = sqrt(scale_sq), the standardized draw z solves
+    Phi(-z) = (1 - u) Phi(location / s), which stays accurate at any
+    truncation point.
     """
     _check_trunc_normal(location, scale_sq)
-    n = 1 if size is None else int(size)
     s = np.sqrt(scale_sq)
-    alpha = -location / s
-
-    out = np.empty(n)
-    filled = 0
-    if alpha < 0.5:
-        # accept prob = 1 - Phi(alpha) >= 0.3
-        while filled < n:
-            batch = max(n - filled, 16)
-            z = rng.standard_normal(int(batch * 2.5))
-            z = z[z > alpha]
-            take = min(z.size, n - filled)
-            out[filled:filled + take] = z[:take]
-            filled += take
-    else:
-        lam = 0.5 * (alpha + np.sqrt(alpha * alpha + 4.0))
-        while filled < n:
-            batch = max(2 * (n - filled), 16)
-            z = alpha + rng.exponential(1.0 / lam, size=batch)
-            accept = rng.random(batch) <= np.exp(-0.5 * (z - lam) ** 2)
-            z = z[accept]
-            take = min(z.size, n - filled)
-            out[filled:filled + take] = z[:take]
-            filled += take
-
-    draws = location + s * out
-    # guard against round-off landing exactly on the bound
+    u = rng.random(1 if size is None else int(size))
+    draws = location - s * ndtri_exp(np.log1p(-u) + log_ndtr(location / s))
+    # guard against round-off landing exactly on the bound (u = 0 maps onto it)
     np.maximum(draws, np.nextafter(0.0, np.inf), out=draws)
     if size is None:
         return float(draws[0])

@@ -59,12 +59,6 @@ class VariationalState:
     def n_components(self) -> int:
         return self.mu_q_lambda.size
 
-    def validate(self):
-        for name in [f"Sigma_q_{block}" for block in BLOCKS] + ["a_q", "b_q"]:
-            val = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(val)) or np.any(val <= 0):
-                raise ValueError(f"{name} must be finite and strictly positive")
-
     def mean_changes(self, other: "VariationalState") -> float:
         """Max absolute change of all variational means (convergence metric)."""
         return max(float(np.max(np.abs(getattr(self, f"mu_q_{block}")

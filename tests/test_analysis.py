@@ -17,8 +17,8 @@ from ammivi.model import THETA_FIELDS, Dataset
 from conftest import random_dataset
 
 
-def small_fit(seed=3, Q=1):
-    ds, truth = simulate(SimScenario(I=6, J=5, Q=Q,
+def small_fit(seed=3, Q=1, I=6, J=5):
+    ds, truth = simulate(SimScenario(I=I, J=J, Q=Q,
                                      lambda_true=(12.0, 5.0)[:Q], seed=seed))
     config = ModelConfig(Q=Q, hyper=default_hyperparams(ds))
     return ds, vi.fit(ds, config, frequentist_fit(ds, Q))
@@ -249,11 +249,17 @@ class TestCompare:
         assert report.vi_rmse == pytest.approx(report.mcmc_rmse, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        ds, fit = small_fit(Q=1)
-        _, fit2 = small_fit(Q=2)
-        draws = self.degenerate_draws(fit2.theta, 6, 5, 2)
-        with pytest.raises(DimensionMismatchError):
-            compare(fit, draws, ds)
+        # (I, J, Q) of the VI fit, then of the draws and data
+        for vi_shape, data_shape in [((6, 5, 1), (6, 5, 2)),
+                                     ((8, 6, 1), (8, 5, 1)),
+                                     ((8, 5, 1), (8, 6, 1))]:
+            I, J, Q = vi_shape
+            _, fit = small_fit(Q=Q, I=I, J=J)
+            I, J, Q = data_shape
+            ds, fit2 = small_fit(Q=Q, I=I, J=J)
+            draws = self.degenerate_draws(fit2.theta, I, J, Q)
+            with pytest.raises(DimensionMismatchError):
+                compare(fit, draws, ds)
 
     def test_report_serialization(self, tmp_path):
         ds, fit = small_fit()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from ammivi.statsmath import (DegenerateInputError, fix_signs, gelman_rubin,
@@ -117,6 +118,23 @@ class TestSampleTruncNormal:
             draws = sample_trunc_normal(rng, loc, v, size=n)
             mean, var = trunc_normal_moments(loc, v)
             assert abs(draws.mean() - mean) < 3 * np.sqrt(var / n)
+
+    # standardized truncation points alpha = -location / s, from far inside
+    # the support to the deep tail; 0.49/0.51 straddle the old sampler's switch
+    @pytest.mark.parametrize("alpha", [-40.0, -3.0, 0.0, 0.49, 0.51, 3.0, 8.0, 40.0, 200.0])
+    def test_law_matches_scipy_truncnorm(self, rng, alpha):
+        s = 2.0
+        draws = sample_trunc_normal(rng, -alpha * s, s * s, size=20_000)
+        assert np.all(draws > 0)
+        law = stats.truncnorm(alpha, np.inf, loc=-alpha * s, scale=s)
+        assert stats.kstest(draws, law.cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("size", [None, 1, 7, 1000])
+    def test_one_uniform_per_draw(self, size):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        sample_trunc_normal(rng, 0.3, 0.01, size=size)
+        twin.random(1 if size is None else size)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestFixSigns:

@@ -21,6 +21,13 @@ def zero_theta(I, J, Q=0, sigma2=1.0):
                       delta=np.zeros((J, Q)), sigma2=sigma2)
 
 
+def assert_valid_state(state):
+    """Every variational variance and the q(tau) shape and rate are finite and > 0."""
+    for name in [f"Sigma_q_{block}" for block in vi.BLOCKS] + ["a_q", "b_q"]:
+        val = np.asarray(getattr(state, name))
+        assert np.all(np.isfinite(val)) and np.all(val > 0), name
+
+
 def state_with_variances(theta, dataset, config, rng):
     """Variational state at theta with randomized, honest variances."""
     state = vi.init_state(theta, dataset, config)
@@ -32,7 +39,7 @@ def state_with_variances(theta, dataset, config, rng):
     state.Sigma_q_delta = rng.uniform(0.05, 0.4, state.mu_q_delta.shape)
     state.a_q = float(rng.uniform(3.0, 20.0))
     state.b_q = float(rng.uniform(3.0, 20.0))
-    state.validate()
+    assert_valid_state(state)
     return state
 
 
@@ -80,7 +87,7 @@ class TestInitState:
                            gamma=theta.gamma, delta=theta.delta, sigma2=1.0)
         state = vi.init_state(theta, ds, ModelConfig(Q=1, hyper=hyper))
         assert state.mu_q_lambda[0] == 1e-6
-        state.validate()
+        assert_valid_state(state)
 
     def test_gamma_first_row_sign_fixed(self, rng, hyper):
         ds = random_dataset(rng, 5, 4)
@@ -511,7 +518,7 @@ class TestFit:
                                      seed=21))
         from ammivi.freqfit import frequentist_fit
         result = vi.fit(ds, ModelConfig(Q=2, hyper=hyper), frequentist_fit(ds, 2))
-        result.state.validate()
+        assert_valid_state(result.state)
         cache = vi.expectations(result.state)
         assert np.all(cache.tilde_lambda_sq >= cache.tilde_lambda ** 2)
         assert np.all(cache.tilde_gamma_sq >= cache.tilde_gamma ** 2 - 1e-15)
