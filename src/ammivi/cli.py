@@ -116,6 +116,12 @@ def _fit_vi(args, dataset):
     return vi.fit(dataset, config, _initial_theta(args.init, dataset, config, args.init_file))
 
 
+def _print_convergence(result) -> None:
+    """The VI fit's convergence line, printed by every command that runs one."""
+    print(f"converged={result.converged} n_iter={result.n_iter} "
+          f"elbo={result.elbo_trace[-1]:.4f}")
+
+
 def run_fit_vi(args) -> int:
     dataset = load_csv(args.input)
     result = _fit_vi(args, dataset)
@@ -130,8 +136,7 @@ def run_fit_vi(args) -> int:
     write_rows(out / "fit_summary.csv", ["key", "value"],
                [("converged", int(result.converged)), ("n_iter", result.n_iter),
                 ("wall_time", result.wall_time), ("final_elbo", result.elbo_trace[-1])])
-    print(f"converged={result.converged} n_iter={result.n_iter} "
-          f"elbo={result.elbo_trace[-1]:.4f}")
+    _print_convergence(result)
     return 0
 
 
@@ -171,6 +176,7 @@ def run_predict(args) -> int:
                                include_noise=args.include_noise, seed=args.seed)
     out = _outdir(args)
     paths = analysis.export_heatmap(summary, dataset, out / args.prefix)
+    _print_convergence(result)
     print("wrote " + ", ".join(paths))
     return 0
 
@@ -186,6 +192,7 @@ def run_compare(args) -> int:
     out = _outdir(args)
     report.to_csv(out / "compare.csv")
     (out / "compare.txt").write_text(report.to_text() + "\n", encoding="utf-8")
+    _print_convergence(vi_fit)
     print(report.to_text())
     return 0
 

@@ -123,12 +123,25 @@ class TestBlockedPredict:
     @pytest.mark.parametrize("Q", [0, 1, 2])
     def test_matches_dense_reference(self, Q, kind):
         ds, fit = self.fitted(Q, kind)
-        summary = predict(fit, ds, n_draws=60, seed=self.SEED)
-        cells = dense_cells(*self.parameter_draws(fit, 60))
-        qs = np.quantile(cells, [0.05, 0.50, 0.95], axis=0)
-        for got, want in zip((summary.q05, summary.q50, summary.q95), qs):
-            assert np.array_equal(got, want)
-        assert np.allclose(summary.mean, cells.mean(axis=0), rtol=1e-12, atol=0.0)
+        # draw counts where the quantile positions fall on and between order statistics
+        for n_draws in (1, 2, 3, 21, 60):
+            summary = predict(fit, ds, n_draws=n_draws, seed=self.SEED)
+            cells = dense_cells(*self.parameter_draws(fit, n_draws))
+            qs = np.quantile(cells, [0.05, 0.50, 0.95], axis=0)
+            for got, want in zip((summary.q05, summary.q50, summary.q95), qs):
+                assert np.array_equal(got, want), n_draws
+            assert np.allclose(summary.mean, cells.mean(axis=0), rtol=1e-12, atol=0.0)
+
+    def test_sorted_read_off_equals_np_quantile(self):
+        # interpolating from one side only differs from numpy in the last bit at
+        # some draw counts and not others, so every count up to 400 is tried
+        rng = np.random.default_rng(self.SEED)
+        for n_draws in [*range(1, 401), 4000]:
+            cells = rng.normal(3.0, 5.0, size=(2, 3, n_draws))
+            want = np.quantile(cells, analysis._PROBS, axis=-1)
+            cells.sort(axis=-1)
+            got = analysis._sorted_quantiles(cells, analysis._linear_positions(n_draws))
+            assert np.array_equal(got, want), n_draws
 
     @pytest.mark.parametrize("kind", ["vi", "mcmc"])
     def test_noise_seeded_ordered_and_mask_free(self, kind):

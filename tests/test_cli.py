@@ -2,6 +2,7 @@
 
 import codecs
 import csv
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -19,6 +20,9 @@ SPLIT_CSV = "genotype,environment,yield\n" + "".join(
          ("C", "z"), ("C", "w"), ("D", "z"), ("D", "w")]))
 # columns holding names; every other non-empty cell a subcommand writes is a number
 LABEL_COLUMNS = {"genotype", "environment", "parameter", "key", "init", "scenario"}
+# the VI fit's convergence line that fit-vi, predict and compare print
+CONVERGENCE_LINE = re.compile(r"^converged=(True|False) n_iter=\d+ elbo=-?\d+\.\d{4}$",
+                              re.MULTILINE)
 
 
 @pytest.fixture
@@ -198,20 +202,22 @@ class TestFits:
 
 
 class TestPredictAndCompare:
-    def test_predict_outputs(self, sim_dir, tmp_path):
+    def test_predict_outputs(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "pred"
         assert main(["predict", "--input", str(sim_dir / "data.csv"),
                      "--q", "1", "--draws", "200",
                      "--output-dir", str(out)]) == 0
+        assert CONVERGENCE_LINE.search(capsys.readouterr().out)
         for tag in ("q05", "q50", "q95", "observed"):
             assert (out / f"predict_{tag}.csv").exists()
         assert_numeric_csvs(out, 4)
 
-    def test_compare_outputs(self, sim_dir, tmp_path):
+    def test_compare_outputs(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "cmp"
         assert main(["compare", "--input", str(sim_dir / "data.csv"),
                      "--q", "1", "--chains", "2", "--iters", "60",
                      "--burn", "20", "--output-dir", str(out)]) == 0
+        assert CONVERGENCE_LINE.search(capsys.readouterr().out)
         assert (out / "compare.csv").exists()
         assert (out / "compare.txt").exists()
         assert_numeric_csvs(out, 1)
