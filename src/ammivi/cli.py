@@ -193,6 +193,11 @@ def run_compare(args) -> int:
     report.to_csv(out / "compare.csv")
     (out / "compare.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     _print_convergence(vi_fit)
+    if draws.n_chains >= 2 and draws.n_iter >= 4:
+        # the largest split R-hat and the parameter it belongs to
+        name, index, _, value = max(param_rows(gibbs.rhat_table(draws).items()),
+                                    key=lambda row: row[3])
+        print(f"gibbs max_rhat={value:.4f} parameter={name}{f'[{index}]' if index else ''}")
     print(report.to_text())
     return 0
 

@@ -174,6 +174,12 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     Normal(0, 0.1^2) jitter and run sequentially with independent RNG
     streams derived from config.seed. Each chain runs n_iter scans; only
     the last n_iter - n_burn are post-processed and stored.
+
+    The scan draws from the same conditionals as `full_conditional`, read
+    off one running residual r = y - cell mean (Bayesian backfitting): each
+    block adds its own term back to r, draws, and patches r with old - new.
+    r is rebuilt with `_resid` once per scan at the tau block, so rounding
+    drift spans at most one scan.
     """
     if n_chains < 1 or n_iter < 1 or not 0 <= n_burn < n_iter:
         raise ValueError(f"need n_chains >= 1, n_iter >= 1 and 0 <= n_burn < n_iter; "
@@ -186,42 +192,80 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
         raise DimensionMismatchError("init dimensions do not match dataset/config")
     store = {name: np.empty((n_chains, n_iter - n_burn, *np.shape(getattr(base, name))))
              for name in THETA_FIELDS}
+    rows, cols, n = dataset.rows, dataset.cols, dataset.n_obs
+    n_rows, n_cols = np.bincount(rows, minlength=I), np.bincount(cols, minlength=J)
 
     for c in range(n_chains):
         rng = np.random.default_rng([config.seed, c])
         # the chain's working point: its arrays are fresh and each block's
-        # draw overwrites them in place; only the scalars need a new point
+        # draw overwrites them in place; the scalars mu and sigma2 are kept
+        # apart (theta's copies go stale) until a kept draw needs a point
         theta = _jittered_init(base, rng)
+        mu, sigma2 = theta.mu, theta.sigma2
+        r = _resid(theta, dataset)
         for t in range(n_iter):
-            m, v = _cond_mu(theta, dataset, hyper)
-            theta = replace(theta, mu=rng.normal(m, np.sqrt(v)))
+            tau = 1.0 / sigma2
 
-            means, variances = _cond_g(theta, dataset, hyper)
-            theta.g[:] = means + np.sqrt(variances) * rng.standard_normal(I)
+            prec = n * tau + 1.0 / hyper.sigma2_mu
+            m = (tau * (r.sum() + n * mu) + hyper.mu_mu / hyper.sigma2_mu) / prec
+            new_mu = rng.normal(m, np.sqrt(1.0 / prec))
+            r += mu - new_mu
+            mu = new_mu
 
-            means, variances = _cond_e(theta, dataset, hyper)
-            theta.e[:] = means + np.sqrt(variances) * rng.standard_normal(J)
+            prec = n_rows * tau + 1.0 / hyper.sigma2_g
+            means = tau * (np.bincount(rows, weights=r, minlength=I) + n_rows * theta.g) / prec
+            new = means + np.sqrt(1.0 / prec) * rng.standard_normal(I)
+            r += (theta.g - new)[rows]
+            theta.g[:] = new
+
+            prec = n_cols * tau + 1.0 / hyper.sigma2_e
+            means = tau * (np.bincount(cols, weights=r, minlength=J) + n_cols * theta.e) / prec
+            new = means + np.sqrt(1.0 / prec) * rng.standard_normal(J)
+            r += (theta.e - new)[cols]
+            theta.e[:] = new
 
             for q in range(Q):
-                loc, var = _cond_lambda(theta, dataset, hyper, q)
-                theta.lam[q] = sample_trunc_normal(rng, loc, var)
+                lam = theta.lam[q]
+                dcol = theta.delta[cols, q]
+                gd = theta.gamma[rows, q] * dcol
+                gd_sq = float(gd @ gd)
+                prec = tau * gd_sq + 1.0 / hyper.sigma2_lambda
+                new_lam = sample_trunc_normal(rng, tau * (float(gd @ r) + lam * gd_sq) / prec,
+                                              1.0 / prec)
+                r += (lam - new_lam) * gd
+                theta.lam[q] = lam = new_lam
 
-                locs, variances = _cond_gamma(theta, dataset, hyper, q)
-                theta.gamma[0, q] = sample_trunc_normal(rng, locs[0], variances[0])
-                theta.gamma[1:, q] = (locs[1:] + np.sqrt(variances[1:])
-                                      * rng.standard_normal(I - 1))
+                d_sq = np.bincount(rows, weights=dcol * dcol, minlength=I)
+                prec = tau * lam ** 2 * d_sq + 1.0
+                locs = tau * lam * (np.bincount(rows, weights=dcol * r, minlength=I)
+                                    + lam * theta.gamma[:, q] * d_sq) / prec
+                new = np.empty(I)
+                new[0] = sample_trunc_normal(rng, locs[0], 1.0 / prec[0])
+                new[1:] = locs[1:] + np.sqrt(1.0 / prec[1:]) * rng.standard_normal(I - 1)
+                r += lam * (theta.gamma[:, q] - new)[rows] * dcol
+                theta.gamma[:, q] = new
 
-                locs, variances = _cond_delta(theta, dataset, hyper, q)
-                theta.delta[:, q] = locs + np.sqrt(variances) * rng.standard_normal(J)
+                gcol = new[rows]
+                g_sq = np.bincount(cols, weights=gcol * gcol, minlength=J)
+                prec = tau * lam ** 2 * g_sq + 1.0
+                locs = tau * lam * (np.bincount(cols, weights=gcol * r, minlength=J)
+                                    + lam * theta.delta[:, q] * g_sq) / prec
+                new = locs + np.sqrt(1.0 / prec) * rng.standard_normal(J)
+                r += lam * gcol * (theta.delta[:, q] - new)[cols]
+                theta.delta[:, q] = new
 
-            shape, rate = _cond_tau(theta, dataset, hyper)
-            theta = replace(theta, sigma2=1.0 / rng.gamma(shape, 1.0 / rate))
+            # a fresh residual: tau needs r @ r, and the next scan starts from it
+            # (theta.mu is stale, so mu is taken off here)
+            r = _resid(theta, dataset, drop_mu=True)
+            r -= mu
+            rate = hyper.b + 0.5 * float(r @ r)
+            sigma2 = 1.0 / rng.gamma(hyper.a + n / 2.0, 1.0 / rate)
 
             if t < n_burn:
                 continue
             # identifiable representative for reporting; the chain itself
             # keeps running on the unconstrained values
-            rep = post_process(theta)
+            rep = post_process(replace(theta, mu=mu, sigma2=sigma2))
             for name in THETA_FIELDS:
                 store[name][c, t - n_burn] = getattr(rep, name)
 

@@ -196,14 +196,20 @@ def _grid(a: np.ndarray, b: np.ndarray, dataset: Dataset) -> np.ndarray:
     return (a @ b.T).ravel()[dataset.cells]
 
 
-def _resid(cache: ExpectationCache, dataset: Dataset) -> np.ndarray:
+def _resid(cache: ExpectationCache, dataset: Dataset, drop: int | None = None) -> np.ndarray:
     """y minus the expected cell mean at each observed cell; updates add their own term back.
 
+    With `drop` = q, component q is left out of the bilinear sum: the
+    partial residual that the lambda_q, gamma_q and delta_q updates share.
     The means are formed on the whole I x J grid (as `model.mean_matrix`
     does) and read at the observed cells with one flat gather, which costs
     far less than gathering factor rows once per observation.
     """
-    grid = (cache.tilde_gamma * cache.tilde_lambda) @ cache.tilde_delta.T
+    lam = cache.tilde_lambda
+    if drop is not None:
+        lam = lam.copy()
+        lam[drop] = 0.0
+    grid = (cache.tilde_gamma * lam) @ cache.tilde_delta.T
     grid += cache.tilde_mu + cache.tilde_g[:, None] + cache.tilde_e
     return dataset.y - grid.ravel()[dataset.cells]
 
@@ -244,15 +250,17 @@ def update_e(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
     return state.mu_q_e, state.Sigma_q_e
 
 
-def _partial_resid(dataset: Dataset, cache: ExpectationCache, q: int) -> np.ndarray:
-    """Residual at observed cells with component q left out of the bilinear sum."""
-    return _resid(cache, dataset) + _grid(cache.tilde_lambda[q] * cache.tilde_gamma[:, q:q + 1],
-                                          cache.tilde_delta[:, q:q + 1], dataset)
-
-
 def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-                  cache: ExpectationCache, q: int) -> tuple[float, float]:
-    resid = _partial_resid(dataset, cache, q)
+                  cache: ExpectationCache, q: int,
+                  resid: np.ndarray | None = None) -> tuple[float, float]:
+    """Update the q-th singular value's positive-truncated factor.
+
+    `resid` is component q's partial residual `_resid(cache, dataset, q)`;
+    a sweep builds it once for the lambda_q, gamma_q and delta_q updates
+    (it does not depend on component q), and it is built here when omitted.
+    """
+    if resid is None:
+        resid = _resid(cache, dataset, q)
     gd_sq = _grid(cache.tilde_gamma_sq[:, q:q + 1], cache.tilde_delta_sq[:, q:q + 1], dataset)
     gd = _grid(cache.tilde_gamma[:, q:q + 1], cache.tilde_delta[:, q:q + 1], dataset)
     prec = cache.tilde_tau * gd_sq.sum() + 1.0 / hyper.sigma2_lambda
@@ -264,14 +272,17 @@ def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 
 def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-                 cache: ExpectationCache, q: int) -> tuple[np.ndarray, np.ndarray]:
+                 cache: ExpectationCache, q: int,
+                 resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Update the q-th left singular-vector column (all rows).
 
     The first row's factor is a positive-truncated Normal; remaining rows
-    are plain Normals with unit prior variance.
+    are plain Normals with unit prior variance. `resid` is as in
+    `update_lambda`.
     """
     I = dataset.n_genotypes
-    resid = _partial_resid(dataset, cache, q)
+    if resid is None:
+        resid = _resid(cache, dataset, q)
     d_mean = cache.tilde_delta[:, q][dataset.cols]
     prec = (cache.tilde_tau * cache.tilde_lambda_sq[q]
             * np.bincount(dataset.rows, weights=cache.tilde_delta_sq[:, q][dataset.cols],
@@ -289,9 +300,12 @@ def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 
 def update_delta(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-                 cache: ExpectationCache, q: int) -> tuple[np.ndarray, np.ndarray]:
+                 cache: ExpectationCache, q: int,
+                 resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Update the q-th right singular-vector column; `resid` is as in `update_lambda`."""
     J = dataset.n_environments
-    resid = _partial_resid(dataset, cache, q)
+    if resid is None:
+        resid = _resid(cache, dataset, q)
     g_mean = cache.tilde_gamma[:, q][dataset.rows]
     prec = (cache.tilde_tau * cache.tilde_lambda_sq[q]
             * np.bincount(dataset.cols, weights=cache.tilde_gamma_sq[:, q][dataset.rows],
@@ -319,9 +333,16 @@ def expected_sse(cache: ExpectationCache, dataset: Dataset) -> float:
 
 
 def update_tau(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-               cache: ExpectationCache) -> tuple[float, float]:
+               cache: ExpectationCache, sse: float | None = None) -> tuple[float, float]:
+    """Update the noise precision's Gamma factor.
+
+    `sse` is `expected_sse(cache, dataset)`; a sweep computes it once for
+    this update and its ELBO, and it is computed here when omitted.
+    """
+    if sse is None:
+        sse = expected_sse(cache, dataset)
     state.a_q = hyper.a + dataset.n_obs / 2.0
-    state.b_q = hyper.b + 0.5 * expected_sse(cache, dataset)
+    state.b_q = hyper.b + 0.5 * sse
     cache.tilde_tau = state.a_q / state.b_q
     return state.a_q, state.b_q
 
@@ -352,14 +373,20 @@ def _neg_kl_trunc(m, v, prior_var):
     return float(e_log_p - e_log_q)
 
 
-def elbo(state: VariationalState, dataset: Dataset | None, hyper: Hyperparams) -> float:
-    """Evidence lower bound E_q[log p(y, theta)] - E_q[log q(theta)]."""
-    cache = expectations(state)
+def elbo(state: VariationalState, dataset: Dataset | None, hyper: Hyperparams,
+         sse: float | None = None) -> float:
+    """Evidence lower bound E_q[log p(y, theta)] - E_q[log q(theta)].
+
+    `sse`, when given, is the expected SSE `expected_sse(expectations(state),
+    dataset)` already at hand, as after `update_tau`; otherwise it is computed.
+    """
     total = 0.0
     if dataset is not None:
+        if sse is None:
+            sse = expected_sse(expectations(state), dataset)
         e_log_tau = digamma(state.a_q) - np.log(state.b_q)
         total += 0.5 * dataset.n_obs * (e_log_tau - _LOG_2PI)
-        total -= 0.5 * cache.tilde_tau * expected_sse(cache, dataset)
+        total -= 0.5 * (state.a_q / state.b_q) * sse
     total += _neg_kl_normal(state.mu_q_mu, state.Sigma_q_mu, hyper.mu_mu, hyper.sigma2_mu)
     total += float(np.sum(_neg_kl_normal(state.mu_q_g, state.Sigma_q_g, 0.0, hyper.sigma2_g)))
     total += float(np.sum(_neg_kl_normal(state.mu_q_e, state.Sigma_q_e, 0.0, hyper.sigma2_e)))
@@ -367,10 +394,9 @@ def elbo(state: VariationalState, dataset: Dataset | None, hyper: Hyperparams) -
         total += _neg_kl_trunc(state.mu_q_lambda[q], state.Sigma_q_lambda[q],
                                hyper.sigma2_lambda)
         total += _neg_kl_trunc(state.mu_q_gamma[0, q], state.Sigma_q_gamma[0, q], 1.0)
-        total += float(np.sum(_neg_kl_normal(state.mu_q_gamma[1:, q],
-                                             state.Sigma_q_gamma[1:, q], 0.0, 1.0)))
-        total += float(np.sum(_neg_kl_normal(state.mu_q_delta[:, q],
-                                             state.Sigma_q_delta[:, q], 0.0, 1.0)))
+    # every other gamma entry and every delta entry has a Normal factor and a N(0, 1) prior
+    total += float(np.sum(_neg_kl_normal(state.mu_q_gamma[1:], state.Sigma_q_gamma[1:], 0.0, 1.0)))
+    total += float(np.sum(_neg_kl_normal(state.mu_q_delta, state.Sigma_q_delta, 0.0, 1.0)))
     total += _neg_kl_gamma(state.a_q, state.b_q, hyper.a, hyper.b)
     return float(total)
 
@@ -412,11 +438,14 @@ def fit(dataset: Dataset, config: ModelConfig, init: ThetaPoint,
         update_g(state, dataset, hyper, cache)
         update_e(state, dataset, hyper, cache)
         for q in range(config.Q):
-            update_lambda(state, dataset, hyper, cache, q)
-            update_gamma(state, dataset, hyper, cache, q)
-            update_delta(state, dataset, hyper, cache, q)
-        update_tau(state, dataset, hyper, cache)
-        value = elbo(state, dataset, hyper)
+            resid = _resid(cache, dataset, q)
+            update_lambda(state, dataset, hyper, cache, q, resid)
+            update_gamma(state, dataset, hyper, cache, q, resid)
+            update_delta(state, dataset, hyper, cache, q, resid)
+        # tau's update leaves the moments the SSE reads unchanged
+        sse = expected_sse(cache, dataset)
+        update_tau(state, dataset, hyper, cache, sse)
+        value = elbo(state, dataset, hyper, sse)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite ELBO at sweep {n_iter}")
         if value < trace[-1] - _ELBO_RTOL * abs(trace[-1]):

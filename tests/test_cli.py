@@ -23,6 +23,9 @@ LABEL_COLUMNS = {"genotype", "environment", "parameter", "key", "init", "scenari
 # the VI fit's convergence line that fit-vi, predict and compare print
 CONVERGENCE_LINE = re.compile(r"^converged=(True|False) n_iter=\d+ elbo=-?\d+\.\d{4}$",
                               re.MULTILINE)
+# the Gibbs draws' largest split R-hat that compare prints with 2 or more chains
+MAX_RHAT_LINE = re.compile(r"^gibbs max_rhat=\d+\.\d{4} parameter=(mu|sigma2|(g|e|lambda)\[\d+\])$",
+                           re.MULTILINE)
 
 
 @pytest.fixture
@@ -217,7 +220,18 @@ class TestPredictAndCompare:
         assert main(["compare", "--input", str(sim_dir / "data.csv"),
                      "--q", "1", "--chains", "2", "--iters", "60",
                      "--burn", "20", "--output-dir", str(out)]) == 0
-        assert CONVERGENCE_LINE.search(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        assert CONVERGENCE_LINE.search(printed)
+        line = MAX_RHAT_LINE.search(printed)
+        assert line
+        # fit-mcmc runs the same chains and writes the R-hat table the line reads from
+        assert main(["fit-mcmc", "--input", str(sim_dir / "data.csv"),
+                     "--q", "1", "--chains", "2", "--iters", "60",
+                     "--burn", "20", "--output-dir", str(tmp_path / "mcmc")]) == 0
+        name, index, value = max(read_rows(tmp_path / "mcmc" / "rhat.csv")[1:],
+                                 key=lambda row: float(row[2]))
+        label = f"{name}[{index}]" if index else name
+        assert line.group(0) == f"gibbs max_rhat={float(value):.4f} parameter={label}"
         assert (out / "compare.csv").exists()
         assert (out / "compare.txt").exists()
         assert_numeric_csvs(out, 1)

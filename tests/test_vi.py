@@ -363,7 +363,8 @@ class TestGridGatherEquivalence:
             self.assert_rel(vi._resid(cache, ds), self.ref_resid(cache, ds))
             self.assert_rel(vi.expected_sse(cache, ds), self.ref_sse(cache, ds))
             for q in range(Q):
-                self.assert_rel(vi._partial_resid(ds, cache, q), self.ref_partial(cache, ds, q))
+                partial = vi._resid(cache, ds, q)
+                self.assert_rel(partial, self.ref_partial(cache, ds, q))
                 expected = {
                     vi.update_lambda: self.ref_lambda(cache, ds, hyper, q),
                     vi.update_gamma: self.ref_factor(cache, ds, q, cache.tilde_delta,
@@ -376,6 +377,11 @@ class TestGridGatherEquivalence:
                                               copy.deepcopy(cache), q)
                     self.assert_rel(got_loc, loc)
                     self.assert_rel(got_var, var)
+                    # the sweep hands each update the partial residual it built once
+                    shared = update(copy.deepcopy(state), ds, hyper, copy.deepcopy(cache), q,
+                                    partial.copy())
+                    assert np.array_equal(shared[0], got_loc)
+                    assert np.array_equal(shared[1], got_var)
 
 
 def prior_matched_state(I, J, Q, hyper):
@@ -458,12 +464,26 @@ class TestElbo:
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-8 * np.abs(trace[:-1]))
 
+    @pytest.mark.parametrize("Q", [0, 1, 2])
+    def test_trace_matches_from_scratch_elbo(self, Q, hyper):
+        """Each sweep's ELBO, built from update_tau's expected SSE, is the ELBO of its state."""
+        ds, _ = simulate(SimScenario(I=12, J=7, Q=max(Q, 1), lambda_true=(18.0, 9.0)[:max(Q, 1)],
+                                     missing_fraction=0.3, seed=17))
+        from ammivi.freqfit import frequentist_fit
+        states = {}
+        result = vi.fit(ds, ModelConfig(Q=Q, hyper=hyper, max_iter=25), frequentist_fit(ds, Q),
+                        callback=lambda sweep, state: states.update({sweep: state.copy()}))
+        assert sorted(states) == list(range(1, result.n_iter + 1))
+        for sweep, state in states.items():
+            want = vi.elbo(state, ds, hyper)
+            assert abs(result.elbo_trace[sweep] - want) <= 1e-12 * abs(want), sweep
+
     def test_decrease_is_reported(self, rng, hyper, monkeypatch):
         ds = random_dataset(rng, 5, 4)
         from ammivi.freqfit import frequentist_fit
         trace = [-100.0, -90.0, -90.0 * (1 + 5e-9), -95.0, -80.0, -80.0 * (1 + 2e-8)]
         values = iter(trace)
-        monkeypatch.setattr(vi, "elbo", lambda state, dataset, hyper: next(values))
+        monkeypatch.setattr(vi, "elbo", lambda state, dataset, hyper, sse=None: next(values))
         config = ModelConfig(Q=1, hyper=hyper, max_iter=5, tol=1e-300)
         with pytest.warns(RuntimeWarning) as caught:
             result = vi.fit(ds, config, frequentist_fit(ds, 1))
