@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ class PredictiveSummary:
     q95: np.ndarray
     observed: np.ndarray
     include_noise: bool
+    threads: int             # worker threads that summarised the cells
 
 
 def _vi_parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
@@ -53,7 +56,7 @@ def _vi_parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
     return mu, g, e, lam, gamma, delta, sigma2
 
 
-# cells per block of genotype rows that predict builds at once (about 4 MB)
+# predict's budget of cell draws (about 4 MB); one block holds at most _BLOCK_CELLS // 8
 _BLOCK_CELLS = 500_000
 
 
@@ -93,40 +96,68 @@ def _sorted_quantiles(cells: np.ndarray, positions) -> list[np.ndarray]:
     return out
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on (its affinity set where the OS reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cell_summary(mu, g, e, lam, gamma, delta, sigma2, include_noise, rng):
-    """Mean and 5/50/95% quantiles over D draws of every cell, one block of rows at a time.
+    """Mean and 5/50/95% quantiles over D draws of every cell, block by block on a thread pool.
 
     The draws come as (D,), (D, I), (D, J), (D, Q), (D, I, Q), (D, J, Q) and
-    (D,) arrays. They are laid out once with the draws on the last axis, so
-    each block of rows is a contiguous (rows, J, D) array of about
-    _BLOCK_CELLS cells. The mean is taken first; the block is then sorted in
-    place along the draws and the quantiles are read off it at numpy's
-    linear-rule positions, equal to np.quantile's bitwise.
+    (D,) arrays. They are laid out once with the draws on the last axis. A
+    block is one genotype row by a run of environments, at most
+    _BLOCK_CELLS // 8 cell draws; the layout depends on I, J and D only.
+    Each worker takes one share of the blocks and fills one (cells, scratch)
+    buffer pair allocated here (numpy's loops and sort release the GIL). A
+    block's mean is taken first; the block is then sorted in place along the
+    draws and the quantiles are read off it at numpy's linear-rule
+    positions, equal to np.quantile's bitwise. With include_noise, each
+    block draws its noise from its own child of rng, spawned before any
+    worker starts, so seeded output does not depend on the worker count.
+    Returns the mean grid, the (3, I, J) quantile grids and the worker count.
     """
     D, I = g.shape
     J = e.shape[1]
     g_t = np.ascontiguousarray(g.T)
     mu_e_t = np.ascontiguousarray((mu[:, None] + e).T)
     lam_gamma_t = np.ascontiguousarray((gamma * lam[:, None, :]).transpose(1, 2, 0))
-    delta_t = np.ascontiguousarray(delta.transpose(1, 2, 0))
+    delta_t = np.ascontiguousarray(delta.transpose(2, 1, 0))
     sd = np.sqrt(sigma2)
     positions = _linear_positions(D)
     mean = np.empty((I, J))
     qs = np.empty((len(_PROBS), I, J))
-    step = max(1, _BLOCK_CELLS // (J * D))
-    for r0 in range(0, I, step):
-        rows = slice(r0, r0 + step)
-        cells = g_t[rows, None, :] + mu_e_t
-        for q in range(lam.shape[1]):
-            cells += lam_gamma_t[rows, None, q, :] * delta_t[:, q, :]
-        if include_noise:
-            noise = rng.standard_normal(cells.shape)
-            noise *= sd
-            cells += noise
-        mean[rows] = cells.mean(axis=-1)
-        cells.sort(axis=-1)
-        qs[:, rows] = _sorted_quantiles(cells, positions)
-    return mean, qs
+    width = max(1, _BLOCK_CELLS // 8 // D)
+    blocks = [(i, slice(j0, min(j0 + width, J)))
+              for i in range(I) for j0 in range(0, J, width)]
+    streams = rng.spawn(len(blocks)) if include_noise else [None] * len(blocks)
+    workers = min(_worker_count(), len(blocks))
+    size = min(width, J) * D
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]
+
+    def run_share(share, buffer_pair):
+        for (i, cols), stream in share:
+            n = cols.stop - cols.start
+            cells, scratch = (buf[:n * D].reshape(n, D) for buf in buffer_pair)
+            np.add(g_t[i], mu_e_t[cols], out=cells)
+            for q in range(lam.shape[1]):
+                np.multiply(lam_gamma_t[i, q], delta_t[q, cols], out=scratch)
+                np.add(cells, scratch, out=cells)
+            if stream is not None:
+                stream.standard_normal(out=scratch)
+                np.multiply(scratch, sd, out=scratch)
+                np.add(cells, scratch, out=cells)
+            np.mean(cells, axis=-1, out=mean[i, cols])
+            cells.sort(axis=-1)
+            qs[:, i, cols] = _sorted_quantiles(cells, positions)
+
+    jobs = list(zip(blocks, streams))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # list() re-raises the first worker exception; leaving the block joins every thread
+        list(pool.map(run_share, [jobs[w::workers] for w in range(workers)], buffers))
+    return mean, qs, workers
 
 
 def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
@@ -153,11 +184,11 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
             pick = rng.choice(len(blocks[0]), size=n_draws, replace=False)
             blocks = [block[pick] for block in blocks]
 
-    mean, qs = _cell_summary(*blocks, include_noise, rng)
+    mean, qs, threads = _cell_summary(*blocks, include_noise, rng)
     observed = np.zeros((I, J), dtype=bool)
     observed[dataset.rows, dataset.cols] = True
     return PredictiveSummary(mean=mean, q05=qs[0], q50=qs[1], q95=qs[2],
-                             observed=observed, include_noise=include_noise)
+                             observed=observed, include_noise=include_noise, threads=threads)
 
 
 def rmse(predicted, reference) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,11 +173,14 @@ def run_predict(args) -> int:
     analysis.check_n_draws(args.draws)
     dataset = load_csv(args.input)
     result = _fit_vi(args, dataset)
+    t0 = time.perf_counter()
     summary = analysis.predict(result, dataset, n_draws=args.draws,
                                include_noise=args.include_noise, seed=args.seed)
+    seconds = time.perf_counter() - t0
     out = _outdir(args)
     paths = analysis.export_heatmap(summary, dataset, out / args.prefix)
     _print_convergence(result)
+    print(f"predict draws={args.draws} threads={summary.threads} seconds={seconds:.3f}")
     print("wrote " + ", ".join(paths))
     return 0
 

@@ -1,5 +1,8 @@
 """Predictive summaries, RMSE, heatmap export and comparison reports."""
 
+import itertools
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -94,14 +97,20 @@ def dense_cells(mu, g, e, lam, gamma, delta, _sigma2):
 
 
 class TestBlockedPredict:
-    """predict walks blocks of genotype rows; the result must not depend on it."""
+    """predict summarises one row by a run of environments per block, on a thread
+    pool; the result must depend on neither the blocks nor the worker count."""
 
     SEED = 7
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # 7 x 5 grid, 60 draws: 300 cells per row, so blocks of 3, 3 and 1 rows
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 900)
+        # 7 x 5 grid, at most 130 cell draws per block: each row splits into
+        # environment runs of 3 + 2 at 40 draws and 2 + 2 + 1 at 60 draws
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 8 * 130)
+
+    @staticmethod
+    def set_workers(monkeypatch, workers):
+        monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
 
     @staticmethod
     def fitted(Q, kind):
@@ -121,15 +130,17 @@ class TestBlockedPredict:
 
     @pytest.mark.parametrize("kind", ["vi", "mcmc"])
     @pytest.mark.parametrize("Q", [0, 1, 2])
-    def test_matches_dense_reference(self, Q, kind):
+    def test_matches_dense_reference(self, Q, kind, monkeypatch):
         ds, fit = self.fitted(Q, kind)
-        # draw counts where the quantile positions fall on and between order statistics
-        for n_draws in (1, 2, 3, 21, 60):
+        # draw counts where the quantile positions fall on and between order
+        # statistics, with whole rows (1 to 21 draws) and ragged runs (40, 60)
+        for workers, n_draws in itertools.product((1, 2, 3), (1, 2, 3, 21, 40, 60)):
+            self.set_workers(monkeypatch, workers)
             summary = predict(fit, ds, n_draws=n_draws, seed=self.SEED)
             cells = dense_cells(*self.parameter_draws(fit, n_draws))
             qs = np.quantile(cells, [0.05, 0.50, 0.95], axis=0)
             for got, want in zip((summary.q05, summary.q50, summary.q95), qs):
-                assert np.array_equal(got, want), n_draws
+                assert np.array_equal(got, want), (workers, n_draws)
             assert np.allclose(summary.mean, cells.mean(axis=0), rtol=1e-12, atol=0.0)
 
     def test_sorted_read_off_equals_np_quantile(self):
@@ -164,22 +175,77 @@ class TestBlockedPredict:
         plain = predict(fit, ds, n_draws=60, seed=self.SEED)
         assert np.mean(first.q95 - first.q05) > np.mean(plain.q95 - plain.q05)
 
+    @pytest.mark.parametrize("kind", ["vi", "mcmc"])
+    def test_noise_independent_of_worker_count(self, kind, monkeypatch):
+        ds, fit = self.fitted(2, kind)
+        grids = []
+        # 8 workers can outnumber the cores; with frequent thread switches a lost
+        # or misplaced write to the shared grids would change them
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8, 1, 3):
+                self.set_workers(monkeypatch, workers)
+                # 60 draws: blocks of 2, 2 and 1 environments, so the last block of
+                # a row draws its noise into a shortened view of the scratch buffer
+                summary = predict(fit, ds, n_draws=60, include_noise=True, seed=self.SEED)
+                assert summary.threads == workers      # 7 rows x 3 runs = 21 blocks
+                grids.append([getattr(summary, name) for name in ("mean", "q05", "q50", "q95")])
+        finally:
+            sys.setswitchinterval(interval)
+        for other in grids[1:]:
+            for got, want in zip(other, grids[0]):
+                assert np.array_equal(got, want)
+
+    def test_threads_joined_and_worker_errors_raised(self, monkeypatch):
+        self.set_workers(monkeypatch, 3)
+        ds, fit = self.fitted(1, "vi")
+        before = threading.active_count()
+        predict(fit, ds, n_draws=60, seed=self.SEED)
+        assert threading.active_count() == before
+
+        def broken(cells, positions):
+            raise FloatingPointError("worker failed")
+
+        monkeypatch.setattr(analysis, "_sorted_quantiles", broken)
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            predict(fit, ds, n_draws=60, seed=self.SEED)
+        assert threading.active_count() == before
+
 
 class TestPredictMemory:
-    @pytest.mark.parametrize("include_noise", [False, True])
-    def test_peak_below_one_dense_array(self, include_noise):
+    N_DRAWS = 4000
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
         ds, _ = simulate(SimScenario(I=60, J=40, Q=2, lambda_true=(12.0, 5.0), seed=4))
         config = ModelConfig(Q=2, hyper=default_hyperparams(ds))
-        fit = vi.fit(ds, config, frequentist_fit(ds, 2))
-        n_draws = 4000
-        dense_bytes = n_draws * ds.n_genotypes * ds.n_environments * 8
+        return ds, vi.fit(ds, config, frequentist_fit(ds, 2))
+
+    def peak_bytes(self, fitted, include_noise):
+        ds, fit = fitted
         tracemalloc.start()
         try:
-            predict(fit, ds, n_draws=n_draws, include_noise=include_noise, seed=1)
+            predict(fit, ds, n_draws=self.N_DRAWS, include_noise=include_noise, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("include_noise", [False, True])
+    def test_peak_below_one_dense_array(self, fitted, include_noise):
+        ds, _ = fitted
+        dense_bytes = self.N_DRAWS * ds.n_genotypes * ds.n_environments * 8
+        peak = self.peak_bytes(fitted, include_noise)
         assert peak < dense_bytes, (peak, dense_bytes)
+
+    @pytest.mark.parametrize("include_noise", [False, True])
+    def test_workers_share_one_block_budget(self, fitted, include_noise, monkeypatch):
+        peaks = {}
+        for workers in (1, 4):
+            monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
+            peaks[workers] = self.peak_bytes(fitted, include_noise)
+        assert peaks[4] - peaks[1] <= analysis._BLOCK_CELLS * 8, peaks
 
 
 class TestRmse:

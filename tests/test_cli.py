@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ammivi import cli, gibbs, simulate, vi
+from ammivi import analysis, cli, gibbs, simulate, vi
 from ammivi.cli import main
 from ammivi.model import load_csv, load_theta_csv
 
@@ -23,6 +23,8 @@ LABEL_COLUMNS = {"genotype", "environment", "parameter", "key", "init", "scenari
 # the VI fit's convergence line that fit-vi, predict and compare print
 CONVERGENCE_LINE = re.compile(r"^converged=(True|False) n_iter=\d+ elbo=-?\d+\.\d{4}$",
                               re.MULTILINE)
+# predict's draw count, worker threads and seconds, printed after the convergence line
+PREDICT_LINE = re.compile(r"^predict draws=(\d+) threads=(\d+) seconds=\d+\.\d{3}$")
 # the Gibbs draws' largest split R-hat that compare prints with 2 or more chains
 MAX_RHAT_LINE = re.compile(r"^gibbs max_rhat=\d+\.\d{4} parameter=(mu|sigma2|(g|e|lambda)\[\d+\])$",
                            re.MULTILINE)
@@ -210,7 +212,11 @@ class TestPredictAndCompare:
         assert main(["predict", "--input", str(sim_dir / "data.csv"),
                      "--q", "1", "--draws", "200",
                      "--output-dir", str(out)]) == 0
-        assert CONVERGENCE_LINE.search(capsys.readouterr().out)
+        lines = capsys.readouterr().out.splitlines()
+        at = next(k for k, line in enumerate(lines) if CONVERGENCE_LINE.match(line))
+        timing = PREDICT_LINE.match(lines[at + 1])
+        assert timing and timing[1] == "200"
+        assert 1 <= int(timing[2]) <= analysis._worker_count()
         for tag in ("q05", "q50", "q95", "observed"):
             assert (out / f"predict_{tag}.csv").exists()
         assert_numeric_csvs(out, 4)
