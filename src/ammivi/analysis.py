@@ -13,9 +13,9 @@ import numpy as np
 from . import gibbs, simulate, vi
 from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import (THETA_FIELDS, Dataset, DimensionMismatchError, ModelConfig,
-                    ValidationError, default_hyperparams, mean_matrix, param_rows,
-                    write_rows)
+from .model import (QUANTILE_LEVELS, THETA_FIELDS, Dataset, DimensionMismatchError,
+                    ModelConfig, ValidationError, default_hyperparams, mean_matrix,
+                    param_rows, write_rows)
 from .statsmath import sample_trunc_normal
 from .vi import FitResult
 
@@ -66,17 +66,14 @@ def check_n_draws(n_draws: int) -> None:
         raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
 
 
-_PROBS = (0.05, 0.50, 0.95)
-
-
 def _linear_positions(D: int) -> list[tuple[int, int, float]]:
-    """Where numpy's linear rule (Hyndman & Fan 1996, type 7) reads each of _PROBS.
+    """Where numpy's linear rule (Hyndman & Fan 1996, type 7) reads each QUANTILE_LEVELS entry.
 
     In D sorted draws, p sits at h = (D - 1) p: between the order statistics
     lo = floor(h) and hi = min(lo + 1, D - 1), at weight t = h - lo.
     """
     positions = []
-    for p in _PROBS:
+    for p in QUANTILE_LEVELS:
         h = (D - 1) * p
         lo = math.floor(h)
         positions.append((lo, min(lo + 1, D - 1), h - lo))
@@ -84,10 +81,10 @@ def _linear_positions(D: int) -> list[tuple[int, int, float]]:
 
 
 def _sorted_quantiles(cells: np.ndarray, positions) -> list[np.ndarray]:
-    """The _PROBS quantiles of cells, sorted along its last axis, at _linear_positions.
+    """The QUANTILE_LEVELS quantiles of cells, sorted along its last axis, at _linear_positions.
 
     Interpolates as numpy's _lerp does, from the nearer order statistic, so
-    the values equal np.quantile(cells, _PROBS, axis=-1) bitwise.
+    the values equal np.quantile(cells, QUANTILE_LEVELS, axis=-1) bitwise.
     """
     out = []
     for lo, hi, t in positions:
@@ -128,13 +125,14 @@ def _cell_summary(mu, g, e, lam, gamma, delta, sigma2, include_noise, rng):
     sd = np.sqrt(sigma2)
     positions = _linear_positions(D)
     mean = np.empty((I, J))
-    qs = np.empty((len(_PROBS), I, J))
+    qs = np.empty((len(QUANTILE_LEVELS), I, J))
     width = max(1, _BLOCK_CELLS // 8 // D)
     blocks = [(i, slice(j0, min(j0 + width, J)))
               for i in range(I) for j0 in range(0, J, width)]
     streams = rng.spawn(len(blocks)) if include_noise else [None] * len(blocks)
-    workers = min(_worker_count(), len(blocks))
     size = min(width, J) * D
+    # each worker holds two blocks, so the pool stays within the _BLOCK_CELLS budget
+    workers = min(_worker_count(), len(blocks), max(1, _BLOCK_CELLS // (2 * size)))
     buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]
 
     def run_share(share, buffer_pair):
@@ -185,10 +183,9 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
             blocks = [block[pick] for block in blocks]
 
     mean, qs, threads = _cell_summary(*blocks, include_noise, rng)
-    observed = np.zeros((I, J), dtype=bool)
-    observed[dataset.rows, dataset.cols] = True
     return PredictiveSummary(mean=mean, q05=qs[0], q50=qs[1], q95=qs[2],
-                             observed=observed, include_noise=include_noise, threads=threads)
+                             observed=dataset.observed.copy(), include_noise=include_noise,
+                             threads=threads)
 
 
 def rmse(predicted, reference) -> float:

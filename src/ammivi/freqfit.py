@@ -9,20 +9,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import Dataset, ThetaPoint, cell_counts, mean_matrix
+from .model import Dataset, ThetaPoint, mean_matrix
 from .statsmath import DegenerateInputError, centered_svd
 
 
 def observed_grid(dataset: Dataset) -> np.ndarray:
-    """The I x J 0/1 grid of observed cells of a connected table.
+    """`dataset.observed`, the I x J boolean grid of observed cells, once the table is connected.
 
     A breadth-first search of the bipartite genotype-environment graph of
     observed cells raises `DegenerateInputError` for a disconnected table,
     the one case in which the additive fit is singular.
     """
-    I, J = dataset.n_genotypes, dataset.n_environments
-    observed = np.bincount(dataset.cells, minlength=I * J).reshape(I, J)  # cells are unique
-    reached = np.arange(I) == 0
+    observed = dataset.observed
+    reached = np.arange(dataset.n_genotypes) == 0
     while (grown := observed[:, observed[reached].any(0)].any(1)).sum() > reached.sum():
         reached = grown
     if not reached.all():
@@ -34,13 +33,13 @@ def fit_additive(dataset: Dataset) -> tuple[float, np.ndarray, np.ndarray]:
     """Least-squares two-way additive fit under sum-to-zero constraints.
 
     Solves the normal equations without an n-row design: the (1+I+J)^2
-    Gram matrix comes from n, the row and column counts and the 0/1
+    Gram matrix comes from n, the row and column counts and the
     observed-cell grid, the right-hand side from sums of y, and sum coding
     reduces both to I+J-1 unknowns, at O(n + (I+J)^2) cost. Raises
     `DegenerateInputError` for a disconnected table (see `observed_grid`).
     """
     I, J = dataset.n_genotypes, dataset.n_environments
-    n, n_rows, n_cols = cell_counts(dataset)
+    n, n_rows, n_cols = dataset.n_obs, dataset.row_counts, dataset.col_counts
     observed = observed_grid(dataset)
     gram = np.block([[n, n_rows, n_cols],
                      [n_rows[:, None], np.diag(n_rows), observed],

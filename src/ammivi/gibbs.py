@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .freqfit import frequentist_fit
-from .model import (THETA_FIELDS, Dataset, DimensionMismatchError, Hyperparams, ModelConfig,
-                    ThetaPoint, post_process)
+from .model import (QUANTILE_LEVELS, THETA_FIELDS, Dataset, DimensionMismatchError, Hyperparams,
+                    ModelConfig, ThetaPoint, post_process)
 from .statsmath import gelman_rubin, sample_trunc_normal
 
 
@@ -193,7 +193,7 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     store = {name: np.empty((n_chains, n_iter - n_burn, *np.shape(getattr(base, name))))
              for name in THETA_FIELDS}
     rows, cols, n = dataset.rows, dataset.cols, dataset.n_obs
-    n_rows, n_cols = np.bincount(rows, minlength=I), np.bincount(cols, minlength=J)
+    n_rows, n_cols = dataset.row_counts, dataset.col_counts
 
     for c in range(n_chains):
         rng = np.random.default_rng([config.seed, c])
@@ -294,7 +294,7 @@ def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
     out = {}
     for name in THETA_FIELDS:
         flat = draws.flat(name)
-        qs = np.quantile(flat, [0.05, 0.50, 0.95], axis=0)
+        qs = np.quantile(flat, QUANTILE_LEVELS, axis=0)
         out[name] = {"mean": flat.mean(axis=0),
                      "q05": qs[0], "q50": qs[1], "q95": qs[2]}
     return out

@@ -19,6 +19,12 @@ class DimensionMismatchError(ValueError):
     """Raised when a fit, draw set or starting point disagrees on I, J or Q."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: a Dataset caches it and hands the same array to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Long-format observations over a possibly incomplete I x J grid.
@@ -70,7 +76,24 @@ class Dataset:
     @cached_property
     def cells(self) -> np.ndarray:
         """Flat index `row * n_environments + col` of each observation in an I x J grid."""
-        return self.rows * self.n_environments + self.cols
+        return _read_only(self.rows * self.n_environments + self.cols)
+
+    @cached_property
+    def row_counts(self) -> np.ndarray:
+        """Observed cells in each genotype row."""
+        return _read_only(np.bincount(self.rows, minlength=self.n_genotypes))
+
+    @cached_property
+    def col_counts(self) -> np.ndarray:
+        """Observed cells in each environment column."""
+        return _read_only(np.bincount(self.cols, minlength=self.n_environments))
+
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """The I x J boolean grid of observed cells."""
+        grid = np.zeros((self.n_genotypes, self.n_environments), dtype=bool)
+        grid.flat[self.cells] = True
+        return _read_only(grid)
 
 
 @dataclass(frozen=True)
@@ -135,6 +158,8 @@ class ThetaPoint:
 THETA_FIELDS = tuple(f.name for f in fields(ThetaPoint))
 # parameter-table names that differ from the ThetaPoint field name
 PARAM_NAMES = {"lam": "lambda"}
+# the quantile levels of every posterior summary: its q05, q50 and q95 entries
+QUANTILE_LEVELS = (0.05, 0.50, 0.95)
 
 
 @dataclass(frozen=True)
@@ -195,13 +220,6 @@ def post_process(theta: ThetaPoint) -> ThetaPoint:
     gm, em = g.mean(), e.mean()
     return ThetaPoint(mu=mu + gm + em, g=g - gm, e=e - em,
                       lam=lam, gamma=gamma, delta=delta, sigma2=theta.sigma2)
-
-
-def cell_counts(dataset: Dataset) -> tuple[int, np.ndarray, np.ndarray]:
-    """Observed-cell counts: total, per genotype row, per environment column."""
-    n_rows = np.bincount(dataset.rows, minlength=dataset.n_genotypes)
-    n_cols = np.bincount(dataset.cols, minlength=dataset.n_environments)
-    return dataset.n_obs, n_rows, n_cols
 
 
 CSV_HEADER = ["genotype", "environment", "yield"]

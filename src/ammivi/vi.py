@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr
@@ -118,9 +118,7 @@ def expectations(state: VariationalState) -> ExpectationCache:
     lam_mean, lam_var = _trunc_moments_vec(state.mu_q_lambda, state.Sigma_q_lambda)
     gamma_mean = state.mu_q_gamma.copy()
     gamma_var = state.Sigma_q_gamma.copy()
-    if state.n_components:
-        gamma_mean[0], gamma_var[0] = _trunc_moments_vec(
-            state.mu_q_gamma[0], state.Sigma_q_gamma[0])
+    gamma_mean[0], gamma_var[0] = _trunc_moments_vec(state.mu_q_gamma[0], state.Sigma_q_gamma[0])
     return ExpectationCache(
         tilde_mu=state.mu_q_mu, var_mu=state.Sigma_q_mu,
         tilde_g=state.mu_q_g.copy(), var_g=state.Sigma_q_g.copy(),
@@ -226,10 +224,9 @@ def update_mu(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 def update_g(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
              cache: ExpectationCache) -> tuple[np.ndarray, np.ndarray]:
-    I = dataset.n_genotypes
-    n_rows = np.bincount(dataset.rows, minlength=I)
+    n_rows = dataset.row_counts
     prec = n_rows * cache.tilde_tau + 1.0 / hyper.sigma2_g
-    sums = (np.bincount(dataset.rows, weights=_resid(cache, dataset), minlength=I)
+    sums = (np.bincount(dataset.rows, weights=_resid(cache, dataset), minlength=n_rows.size)
             + n_rows * cache.tilde_g)
     state.mu_q_g = cache.tilde_tau * sums / prec
     state.Sigma_q_g = 1.0 / prec
@@ -239,10 +236,9 @@ def update_g(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 def update_e(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
              cache: ExpectationCache) -> tuple[np.ndarray, np.ndarray]:
-    J = dataset.n_environments
-    n_cols = np.bincount(dataset.cols, minlength=J)
+    n_cols = dataset.col_counts
     prec = n_cols * cache.tilde_tau + 1.0 / hyper.sigma2_e
-    sums = (np.bincount(dataset.cols, weights=_resid(cache, dataset), minlength=J)
+    sums = (np.bincount(dataset.cols, weights=_resid(cache, dataset), minlength=n_cols.size)
             + n_cols * cache.tilde_e)
     state.mu_q_e = cache.tilde_tau * sums / prec
     state.Sigma_q_e = 1.0 / prec
@@ -251,16 +247,13 @@ def update_e(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 
 def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-                  cache: ExpectationCache, q: int,
-                  resid: np.ndarray | None = None) -> tuple[float, float]:
+                  cache: ExpectationCache, q: int, resid: np.ndarray) -> tuple[float, float]:
     """Update the q-th singular value's positive-truncated factor.
 
     `resid` is component q's partial residual `_resid(cache, dataset, q)`;
     a sweep builds it once for the lambda_q, gamma_q and delta_q updates
-    (it does not depend on component q), and it is built here when omitted.
+    (it does not depend on component q).
     """
-    if resid is None:
-        resid = _resid(cache, dataset, q)
     gd_sq = _grid(cache.tilde_gamma_sq[:, q:q + 1], cache.tilde_delta_sq[:, q:q + 1], dataset)
     gd = _grid(cache.tilde_gamma[:, q:q + 1], cache.tilde_delta[:, q:q + 1], dataset)
     prec = cache.tilde_tau * gd_sq.sum() + 1.0 / hyper.sigma2_lambda
@@ -272,8 +265,8 @@ def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 
 def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-                 cache: ExpectationCache, q: int,
-                 resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 cache: ExpectationCache, q: int, resid: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Update the q-th left singular-vector column (all rows).
 
     The first row's factor is a positive-truncated Normal; remaining rows
@@ -281,8 +274,6 @@ def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
     `update_lambda`.
     """
     I = dataset.n_genotypes
-    if resid is None:
-        resid = _resid(cache, dataset, q)
     d_mean = cache.tilde_delta[:, q][dataset.cols]
     prec = (cache.tilde_tau * cache.tilde_lambda_sq[q]
             * np.bincount(dataset.rows, weights=cache.tilde_delta_sq[:, q][dataset.cols],
@@ -300,12 +291,10 @@ def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 
 def update_delta(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-                 cache: ExpectationCache, q: int,
-                 resid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 cache: ExpectationCache, q: int, resid: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Update the q-th right singular-vector column; `resid` is as in `update_lambda`."""
     J = dataset.n_environments
-    if resid is None:
-        resid = _resid(cache, dataset, q)
     g_mean = cache.tilde_gamma[:, q][dataset.rows]
     prec = (cache.tilde_tau * cache.tilde_lambda_sq[q]
             * np.bincount(dataset.cols, weights=cache.tilde_gamma_sq[:, q][dataset.rows],
@@ -333,14 +322,8 @@ def expected_sse(cache: ExpectationCache, dataset: Dataset) -> float:
 
 
 def update_tau(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
-               cache: ExpectationCache, sse: float | None = None) -> tuple[float, float]:
-    """Update the noise precision's Gamma factor.
-
-    `sse` is `expected_sse(cache, dataset)`; a sweep computes it once for
-    this update and its ELBO, and it is computed here when omitted.
-    """
-    if sse is None:
-        sse = expected_sse(cache, dataset)
+               cache: ExpectationCache, sse: float) -> tuple[float, float]:
+    """Update the noise precision's Gamma factor; `sse` is `expected_sse(cache, dataset)`."""
     state.a_q = hyper.a + dataset.n_obs / 2.0
     state.b_q = hyper.b + 0.5 * sse
     cache.tilde_tau = state.a_q / state.b_q
@@ -373,21 +356,9 @@ def _neg_kl_trunc(m, v, prior_var):
     return float(e_log_p - e_log_q)
 
 
-def elbo(state: VariationalState, dataset: Dataset | None, hyper: Hyperparams,
-         sse: float | None = None) -> float:
-    """Evidence lower bound E_q[log p(y, theta)] - E_q[log q(theta)].
-
-    `sse`, when given, is the expected SSE `expected_sse(expectations(state),
-    dataset)` already at hand, as after `update_tau`; otherwise it is computed.
-    """
-    total = 0.0
-    if dataset is not None:
-        if sse is None:
-            sse = expected_sse(expectations(state), dataset)
-        e_log_tau = digamma(state.a_q) - np.log(state.b_q)
-        total += 0.5 * dataset.n_obs * (e_log_tau - _LOG_2PI)
-        total -= 0.5 * (state.a_q / state.b_q) * sse
-    total += _neg_kl_normal(state.mu_q_mu, state.Sigma_q_mu, hyper.mu_mu, hyper.sigma2_mu)
+def _neg_kl(state: VariationalState, hyper: Hyperparams) -> float:
+    """The ELBO's prior terms E_q[log p(theta)] - E_q[log q(theta)], which is -KL(q || prior)."""
+    total = _neg_kl_normal(state.mu_q_mu, state.Sigma_q_mu, hyper.mu_mu, hyper.sigma2_mu)
     total += float(np.sum(_neg_kl_normal(state.mu_q_g, state.Sigma_q_g, 0.0, hyper.sigma2_g)))
     total += float(np.sum(_neg_kl_normal(state.mu_q_e, state.Sigma_q_e, 0.0, hyper.sigma2_e)))
     for q in range(state.n_components):
@@ -399,6 +370,17 @@ def elbo(state: VariationalState, dataset: Dataset | None, hyper: Hyperparams,
     total += float(np.sum(_neg_kl_normal(state.mu_q_delta, state.Sigma_q_delta, 0.0, 1.0)))
     total += _neg_kl_gamma(state.a_q, state.b_q, hyper.a, hyper.b)
     return float(total)
+
+
+def elbo(state: VariationalState, dataset: Dataset, hyper: Hyperparams, sse: float) -> float:
+    """Evidence lower bound E_q[log p(y, theta)] - E_q[log q(theta)].
+
+    `sse` is the expected SSE `expected_sse(expectations(state), dataset)`,
+    which a sweep computes once for `update_tau` and the ELBO.
+    """
+    e_log_tau = digamma(state.a_q) - np.log(state.b_q)
+    return float(0.5 * dataset.n_obs * (e_log_tau - _LOG_2PI)
+                 - 0.5 * (state.a_q / state.b_q) * sse + _neg_kl(state, hyper))
 
 
 def posterior_mean_theta(state: VariationalState) -> ThetaPoint:
@@ -428,7 +410,7 @@ def fit(dataset: Dataset, config: ModelConfig, init: ThetaPoint,
     hyper = config.hyper
     state = init_state(init, dataset, config)
     cache = expectations(state)
-    trace = [elbo(state, dataset, hyper)]
+    trace = [elbo(state, dataset, hyper, expected_sse(cache, dataset))]
     changes = []
     converged = False
     n_iter = 0

@@ -89,15 +89,15 @@ def test_criterion_2_one_step_equivalence(hyper):
                            gibbs.full_conditional(block, theta, ds, hyper)))
         for q in (0, 1):
             state, cache = fresh()
-            checks.append((vi.update_lambda(state, ds, hyper, cache, q),
+            checks.append((vi.update_lambda(state, ds, hyper, cache, q, vi._resid(cache, ds, q)),
                            gibbs.full_conditional("lambda", theta, ds, hyper, q=q)))
             for block, updater in (("gamma", vi.update_gamma),
                                    ("delta", vi.update_delta)):
                 state, cache = fresh()
-                checks.append((updater(state, ds, hyper, cache, q),
+                checks.append((updater(state, ds, hyper, cache, q, vi._resid(cache, ds, q)),
                                gibbs.full_conditional(block, theta, ds, hyper, q=q)))
         state, cache = fresh()
-        checks.append((vi.update_tau(state, ds, hyper, cache),
+        checks.append((vi.update_tau(state, ds, hyper, cache, vi.expected_sse(cache, ds)),
                        gibbs.full_conditional("tau", theta, ds, hyper)))
         for got, want in checks:
             got = np.concatenate([np.atleast_1d(np.asarray(v, dtype=float))

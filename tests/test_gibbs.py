@@ -75,18 +75,18 @@ class TestFullConditionals:
                                      - np.concatenate(want))) < 1e-10
             for q in (0, 1):
                 state, cache = fresh()
-                got = vi.update_lambda(state, ds, hyper, cache, q)
+                got = vi.update_lambda(state, ds, hyper, cache, q, vi._resid(cache, ds, q))
                 want = gibbs.full_conditional("lambda", theta, ds, hyper, q=q)
                 assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-10
                 for block, updater in (("gamma", vi.update_gamma),
                                        ("delta", vi.update_delta)):
                     state, cache = fresh()
-                    got = updater(state, ds, hyper, cache, q)
+                    got = updater(state, ds, hyper, cache, q, vi._resid(cache, ds, q))
                     want = gibbs.full_conditional(block, theta, ds, hyper, q=q)
                     assert np.max(np.abs(np.concatenate(got)
                                          - np.concatenate(want))) < 1e-10
             state, cache = fresh()
-            got = vi.update_tau(state, ds, hyper, cache)
+            got = vi.update_tau(state, ds, hyper, cache, vi.expected_sse(cache, ds))
             want = gibbs.full_conditional("tau", theta, ds, hyper)
             assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-10
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ammivi import gibbs, vi
 from ammivi.freqfit import frequentist_fit
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
-                          ValidationError, cell_counts, dataset_from_labels,
+                          ValidationError, dataset_from_labels,
                           default_hyperparams, load_csv, load_theta_csv,
                           mean_matrix, param_rows, write_csv,
                           write_theta_csv)
@@ -124,26 +124,30 @@ class TestModelMean:
 class TestCellCounts:
     def test_complete_table(self):
         ds = complete_dataset(np.arange(12.0).reshape(3, 4))
-        n, n_rows, n_cols = cell_counts(ds)
-        assert n == 12
-        assert list(n_rows) == [4, 4, 4]
-        assert list(n_cols) == [3, 3, 3, 3]
+        assert ds.n_obs == 12
+        assert list(ds.row_counts) == [4, 4, 4]
+        assert list(ds.col_counts) == [3, 3, 3, 3]
+        assert ds.observed.all() and ds.observed.shape == (3, 4)
 
     def test_incomplete_table(self):
         ds = Dataset(rows=[0, 0, 1], cols=[0, 1, 0], y=[1.0, 2.0, 3.0],
                      n_genotypes=2, n_environments=2,
                      genotype_labels=("a", "b"), environment_labels=("x", "y"))
-        n, n_rows, n_cols = cell_counts(ds)
-        assert n == 3
-        assert list(n_rows) == [2, 1]
-        assert list(n_cols) == [2, 1]
+        assert ds.n_obs == 3
+        assert list(ds.row_counts) == [2, 1]
+        assert list(ds.col_counts) == [2, 1]
+        assert ds.observed.tolist() == [[True, True], [True, False]]
+        # the cached arrays are shared by every caller, so none may be written to
+        for cached in (ds.cells, ds.row_counts, ds.col_counts, ds.observed):
+            with pytest.raises(ValueError):
+                cached[0] = 0
 
     def test_sparse_85x17_fixture(self, rng):
         ds = random_dataset(rng, 85, 17, missing=1.0 - 810 / (85 * 17))
-        n, n_rows, n_cols = cell_counts(ds)
-        assert n == 810
-        assert n_rows.sum() == 810
-        assert n_cols.sum() == 810
+        assert ds.n_obs == 810
+        assert ds.row_counts.sum() == 810
+        assert ds.col_counts.sum() == 810
+        assert ds.observed.sum() == 810
 
 
 class TestCsvRoundTrip:
