@@ -13,7 +13,7 @@ import numpy as np
 from . import gibbs, simulate, vi
 from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import (QUANTILE_LEVELS, THETA_FIELDS, Dataset, DimensionMismatchError,
+from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset, DimensionMismatchError,
                     ModelConfig, ValidationError, default_hyperparams, mean_matrix,
                     param_rows, write_rows)
 from .statsmath import sample_trunc_normal
@@ -255,28 +255,20 @@ def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> Comparison
             or vi.state.mu_q_e.size != dataset.n_environments):
         raise DimensionMismatchError("fits disagree on I, J or Q")
 
-    theta_vi = vi.theta
-    st = vi.state
-    rows: list[tuple] = []
-
-    def add(name, vi_mean, mcmc_draws, vi_sd):
-        mcmc_mean = float(np.mean(mcmc_draws))
-        rows.append((name, float(vi_mean), mcmc_mean, float(vi_sd),
-                     float(np.std(mcmc_draws)), abs(vi_mean - mcmc_mean)))
-
+    theta_vi, st = vi.theta, vi.state
+    theta_mcmc = gibbs.posterior_mean_theta(mcmc)
     sig_sd = np.sqrt(st.b_q ** 2 / ((st.a_q - 1.0) ** 2 * (st.a_q - 2.0))) \
         if st.a_q > 2 else np.nan
     vi_sd = {"mu": np.sqrt(st.Sigma_q_mu), "g": np.sqrt(st.Sigma_q_g),
              "e": np.sqrt(st.Sigma_q_e), "lam": np.sqrt(st.Sigma_q_lambda), "sigma2": sig_sd}
-    # each block's draws transposed, so an entry's index picks its draws
-    for name, i1, _, vi_mean, draws, sd in param_rows(
-            (f, getattr(theta_vi, f), mcmc.flat(f).T, vi_sd[f]) for f in vi_sd):
-        add(f"{name}[{i1}]" if i1 else name, vi_mean, draws, sd)
-
+    blocks = ((f, getattr(theta_vi, f), getattr(theta_mcmc, f), vi_sd[f],
+               mcmc.flat(f).std(axis=0)) for f in THETA_FIELDS if f in SCALAR_BLOCKS)
     return ComparisonReport(
-        rows=rows,
+        rows=[(f"{name}[{i1}]" if i1 else name, vi_mean, mcmc_mean, vi_s, mcmc_s,
+               abs(vi_mean - mcmc_mean))
+              for name, i1, _, vi_mean, mcmc_mean, vi_s, mcmc_s in param_rows(blocks)],
         vi_rmse=in_sample_rmse(theta_vi, dataset),
-        mcmc_rmse=in_sample_rmse(gibbs.posterior_mean_theta(mcmc), dataset),
+        mcmc_rmse=in_sample_rmse(theta_mcmc, dataset),
         vi_time=vi.wall_time, mcmc_time=mcmc.wall_time)
 
 

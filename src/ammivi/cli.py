@@ -16,9 +16,9 @@ import numpy as np
 
 from . import analysis, gibbs, simulate, vi
 from .freqfit import frequentist_fit
-from .model import (THETA_FIELDS, DimensionMismatchError, Hyperparams, ModelConfig,
-                    ValidationError, default_hyperparams, load_csv, load_theta_csv, mean_matrix,
-                    param_rows, write_csv, write_rows, write_theta_csv)
+from .model import (SCALAR_BLOCKS, THETA_FIELDS, DimensionMismatchError, Hyperparams,
+                    ModelConfig, ValidationError, default_hyperparams, load_csv, load_theta_csv,
+                    mean_matrix, param_rows, write_csv, write_rows, write_theta_csv)
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -141,20 +141,24 @@ def run_fit_vi(args) -> int:
     return 0
 
 
-def run_fit_mcmc(args) -> int:
-    dataset = load_csv(args.input)
-    config = _model_config(args, dataset)
+def _gibbs_draws(args, dataset, config):
+    """gibbs_fit with the chain flags; R-hat's size rule is checked before any scan."""
     if args.chains >= 2 and args.iters - args.burn < 4:
         raise ValidationError(f"R-hat needs --iters - --burn >= 4 with 2 or more chains; "
                               f"got {args.iters} - {args.burn}")
-    draws = gibbs.gibbs_fit(dataset, config, n_chains=args.chains,
-                            n_iter=args.iters, n_burn=args.burn)
+    return gibbs.gibbs_fit(dataset, config, n_chains=args.chains,
+                           n_iter=args.iters, n_burn=args.burn)
+
+
+def run_fit_mcmc(args) -> int:
+    dataset = load_csv(args.input)
+    draws = _gibbs_draws(args, dataset, _model_config(args, dataset))
     out = _outdir(args)
     summary = gibbs.summarize(draws)
     stats = ("mean", "q05", "q50", "q95")
     write_rows(out / "mcmc_summary.csv", ["parameter", "index1", "index2", *stats],
                param_rows((name, *(summary[name][s] for s in stats))
-                          for name in THETA_FIELDS if name not in ("gamma", "delta")))
+                          for name in THETA_FIELDS if name in SCALAR_BLOCKS))
     write_theta_csv(gibbs.posterior_mean_theta(draws), out / "theta.csv")
     if draws.n_chains >= 2:
         write_rows(out / "rhat.csv", ["parameter", "index", "rhat"],
@@ -188,16 +192,15 @@ def run_predict(args) -> int:
 def run_compare(args) -> int:
     dataset = load_csv(args.input)
     config = _model_config(args, dataset)
-    # Gibbs first: gibbs_fit rejects bad sizes before either fit does any work
-    draws = gibbs.gibbs_fit(dataset, config, n_chains=args.chains,
-                            n_iter=args.iters, n_burn=args.burn)
+    # Gibbs first: bad sizes are rejected before either fit does any work
+    draws = _gibbs_draws(args, dataset, config)
     vi_fit = vi.fit(dataset, config, frequentist_fit(dataset, config.Q))
     report = analysis.compare(vi_fit, draws, dataset)
     out = _outdir(args)
     report.to_csv(out / "compare.csv")
     (out / "compare.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     _print_convergence(vi_fit)
-    if draws.n_chains >= 2 and draws.n_iter >= 4:
+    if draws.n_chains >= 2:
         # the largest split R-hat and the parameter it belongs to
         name, index, _, value = max(param_rows(gibbs.rhat_table(draws).items()),
                                     key=lambda row: row[3])
@@ -260,6 +263,19 @@ def _read_config_file(path) -> dict:
         # each hyper line is one --hyper flag; a command-line --hyper appends after them
         values[key] = values.get(key, []) + [val] if key == "hyper" else val
     return values
+
+
+_SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _config_value(key, value, action):
+    """A config value as its flag's default; a switch takes true/false/yes/no/1/0."""
+    if action.nargs != 0:
+        return value
+    if value.lower() not in _SWITCH_VALUES:
+        raise ValidationError(f"config key {key} is a switch: expected true/false/yes/no/1/0, "
+                              f"got {value!r}")
+    return _SWITCH_VALUES[value.lower()]
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -357,15 +373,18 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                parents=[own, output_flag, seed_flag])
 
     if config_defaults:
-        # string defaults are re-parsed by argparse with each flag's type,
-        # so config values get the same conversion as command-line values;
-        # explicit flags still override because they are parsed afterwards
-        known = [{a.dest for a in p._actions} for p in subparsers]
-        unknown = sorted(set(config_defaults).difference(*known))
+        # a key is a long flag's name (with _ for -); string defaults are
+        # re-parsed by argparse with each flag's type, so config values get
+        # the same conversion as command-line values; explicit flags still
+        # override because they are parsed afterwards
+        flags = [{s[2:].replace("-", "_"): a for a in p._actions for s in a.option_strings
+                  if s.startswith("--")} for p in subparsers]
+        unknown = sorted(set(config_defaults).difference(*flags))
         if unknown:
             raise ValidationError(f"config key(s) no subcommand defines: {', '.join(unknown)}")
-        for p, dests in zip(subparsers, known):
-            p.set_defaults(**{k: v for k, v in config_defaults.items() if k in dests})
+        for p, actions in zip(subparsers, flags):
+            p.set_defaults(**{actions[k].dest: _config_value(k, v, actions[k])
+                              for k, v in config_defaults.items() if k in actions})
     return parser
 
 

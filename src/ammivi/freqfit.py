@@ -77,7 +77,7 @@ def fit_interaction(dataset: Dataset, mu: float, g: np.ndarray, e: np.ndarray,
     if Q == 0:
         return np.zeros(0), np.zeros((I, 0)), np.zeros((J, 0))
 
-    _, svals, gamma, delta = centered_svd(_residual_matrix(dataset, mu, g, e), Q)
+    svals, gamma, delta = centered_svd(_residual_matrix(dataset, mu, g, e), Q)
     if svals[Q - 1] <= 1e-12 * max(svals[0], 1.0):
         raise DegenerateInputError(f"residual matrix has rank below Q={Q}")
     return svals[:Q].copy(), gamma, delta

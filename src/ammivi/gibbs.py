@@ -14,22 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .freqfit import frequentist_fit
-from .model import (QUANTILE_LEVELS, THETA_FIELDS, Dataset, DimensionMismatchError, Hyperparams,
-                    ModelConfig, ThetaPoint, post_process)
+from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset,
+                    DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint, post_process)
 from .statsmath import gelman_rubin, sample_trunc_normal
 
 
 @dataclass(frozen=True)
-class PosteriorDraws:
-    """Post-processed posterior draws kept after burn-in, indexed (chain, iteration, ...)."""
+class PosteriorDraws(ThetaPoint):
+    """Post-processed posterior draws kept after burn-in, stacked (chain, iteration)."""
 
-    mu: np.ndarray
-    g: np.ndarray
-    e: np.ndarray
-    lam: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
-    sigma2: np.ndarray
     wall_time: float = 0.0
 
     @property
@@ -39,10 +32,6 @@ class PosteriorDraws:
     @property
     def n_iter(self) -> int:
         return self.mu.shape[1]
-
-    @property
-    def n_components(self) -> int:
-        return self.lam.shape[2]
 
     def flat(self, name: str) -> np.ndarray:
         """Draws of one block, chains concatenated (a view, not a copy)."""
@@ -272,15 +261,9 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     return PosteriorDraws(**store, wall_time=time.perf_counter() - t0)
 
 
-def rhat_table(draws: PosteriorDraws) -> dict[str, np.ndarray]:
-    """Split-chain R-hat per scalar parameter."""
-    out = {}
-    for name in ("mu", "sigma2", "g", "e", "lam"):
-        # chain and iteration axes last, so one entry's index picks its (chains x iter) draws
-        arr = np.moveaxis(getattr(draws, name), (0, 1), (-2, -1))
-        out[name] = np.reshape([gelman_rubin(arr[idx]) for idx in np.ndindex(arr.shape[:-2])],
-                               arr.shape[:-2])
-    return out
+def rhat_table(draws: PosteriorDraws) -> dict[str, np.ndarray | float]:
+    """Split-chain R-hat of every entry of each block in SCALAR_BLOCKS."""
+    return {name: gelman_rubin(getattr(draws, name)) for name in SCALAR_BLOCKS}
 
 
 def posterior_mean_theta(draws: PosteriorDraws) -> ThetaPoint:

@@ -124,7 +124,11 @@ def default_hyperparams(dataset: Dataset) -> Hyperparams:
 
 @dataclass(frozen=True)
 class ThetaPoint:
-    """One concrete parameter assignment of the AMMI model."""
+    """One concrete parameter assignment of the AMMI model, or a stack of them.
+
+    A stack puts the same leading axes on every block: mu and sigma2 have
+    that shape, and g, e, lam, gamma and delta add their own axes after it.
+    """
 
     mu: float
     g: np.ndarray
@@ -138,24 +142,30 @@ class ThetaPoint:
         g = np.asarray(self.g, dtype=float)
         e = np.asarray(self.e, dtype=float)
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        q = lam.size
-        gamma = np.asarray(self.gamma, dtype=float).reshape(g.size, q)
-        delta = np.asarray(self.delta, dtype=float).reshape(e.size, q)
+        q = lam.shape[-1]
+        gamma = np.asarray(self.gamma, dtype=float).reshape(*g.shape, q)
+        delta = np.asarray(self.delta, dtype=float).reshape(*e.shape, q)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", delta)
-        if self.sigma2 <= 0:
+        # a float is compared as it is: every kept Gibbs draw builds two points,
+        # and the array check would cost about 3 us more per point
+        sigma2 = self.sigma2
+        if (sigma2 <= 0) if np.isscalar(sigma2) else (np.asarray(sigma2) <= 0).any():
             raise ValueError("sigma2 must be > 0")
 
     @property
     def n_components(self) -> int:
-        return self.lam.size
+        return self.lam.shape[-1]
 
 
 # the blocks of a parameter point, in the order every parameter table lists them
 THETA_FIELDS = tuple(f.name for f in fields(ThetaPoint))
+# the blocks reported entry by entry (R-hat, summaries, comparisons), in rhat.csv's
+# order; gamma and delta are left out because their columns can flip sign between draws
+SCALAR_BLOCKS = ("mu", "sigma2", "g", "e", "lam")
 # parameter-table names that differ from the ThetaPoint field name
 PARAM_NAMES = {"lam": "lambda"}
 # the quantile levels of every posterior summary: its q05, q50 and q95 entries

@@ -124,9 +124,9 @@ def fix_signs(gamma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndar
 def centered_svd(mat: np.ndarray, Q: int):
     """Top-Q SVD of a doubly centered matrix.
 
-    Returns the removed (row means, column means, grand mean), all
-    singular values in decreasing order, and the leading Q left and right
-    singular vectors as sign-fixed gamma (I x Q) and delta (J x Q) factors.
+    Returns all singular values in decreasing order, and the leading Q left
+    and right singular vectors as sign-fixed gamma (I x Q) and delta (J x Q)
+    factors.
     """
     row = mat.mean(axis=1)
     col = mat.mean(axis=0)
@@ -134,30 +134,37 @@ def centered_svd(mat: np.ndarray, Q: int):
     U, svals, Vt = np.linalg.svd(mat - row[:, None] - col[None, :] + grand,
                                  full_matrices=False)
     gamma, delta = fix_signs(U[:, :Q].copy(), Vt[:Q].T.copy())
-    return (row, col, grand), svals, gamma, delta
+    return svals, gamma, delta
 
 
-def gelman_rubin(draws) -> float:
-    """Split-chain potential scale reduction factor R-hat of scalar draws.
+def gelman_rubin(draws):
+    """Split-chain potential scale reduction factor R-hat of each entry of the draws.
 
-    `draws` is (n_chains, n_iter). Each chain is halved, so
-    m = 2 * n_chains sequences enter the within/between variance comparison.
+    `draws` is (n_chains, n_iter, ...): one R-hat per trailing entry, an
+    array of the trailing shape, or a float for 2-d draws. Each chain is
+    halved, so m = 2 * n_chains sequences enter the within/between variance
+    comparison.
     """
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError("draws must be a 2-d array (chains x iterations)")
-    n_chains, n_iter = draws.shape
+    if draws.ndim < 2:
+        raise ValueError("draws must be a 2-d or higher array (chains x iterations x ...)")
+    n_chains, n_iter = draws.shape[:2]
     if n_chains < 2:
         raise ValueError("need at least 2 chains")
     if n_iter < 4:
         raise ValueError("need at least 4 iterations to split")
     half = n_iter // 2
-    splits = np.vstack([draws[:, :half], draws[:, half:2 * half]])
-
-    within = splits.var(axis=1, ddof=1)
-    w = within.mean()
-    if w <= 0:
+    # one half-chain at a time is copied, with its iterations as the last,
+    # contiguous axis: numpy then sums each entry's draws pairwise, as it does
+    # a 1-d chain, so every entry's R-hat is bitwise the one its own 2-d draws give
+    seqs = (np.moveaxis(draws[c, start:start + half], 0, -1).copy()
+            for start in (0, half) for c in range(n_chains))
+    moments = [(s.mean(axis=-1), s.var(axis=-1, ddof=1)) for s in seqs]
+    means, within = (np.stack(m, axis=-1) for m in zip(*moments))
+    w = within.mean(axis=-1)
+    if np.any(w <= 0):
         raise ValueError("constant chains: within-chain variance is zero")
-    b = half * splits.mean(axis=1).var(ddof=1)
+    b = half * means.var(axis=-1, ddof=1)
     var_plus = (half - 1) / half * w + b / half
-    return float(np.sqrt(var_plus / w))
+    rhat = np.sqrt(var_plus / w)
+    return float(rhat) if draws.ndim == 2 else rhat

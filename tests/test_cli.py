@@ -252,6 +252,17 @@ class TestPredictAndCompare:
                      "--output-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_compare_too_short_for_rhat_rejected_before_sampling(self, sim_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+        # fit-mcmc's R-hat size rule: 2 chains need 4 kept iterations each
+        forbid_calls(monkeypatch, (vi, "fit"), (gibbs, "gibbs_fit"))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--input", str(sim_dir / "data.csv"),
+                     "--chains", "2", "--iters", "5", "--burn", "2",
+                     "--output-dir", str(out)]) == 2
+        assert "R-hat" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_init_file_q_mismatch_exit_code(self, sim_dir, tmp_path):
@@ -441,6 +452,33 @@ class TestConfigFile:
         out = tmp_path / "shared"
         assert main(args + ["--output-dir", str(out)]) == 0
         assert dict(read_rows(out / "fit_summary.csv")[1:])["n_iter"] == "5"
+
+    @pytest.mark.parametrize("line, command, dest, value", [
+        ("smoke = false", "benchmark --group small", "smoke", False),
+        ("smoke = yes", "benchmark --group small", "smoke", True),
+        ("include-noise = no", "predict --input x", "include_noise", False),
+        ("include_noise = 1", "predict --input x", "include_noise", True),
+        ("save-draws = 0", "fit-mcmc --input x", "save_draws", False),
+        ("save_draws = true", "fit-mcmc --input x", "save_draws", True),
+        ("lambda = 25,12", "simulate --i 5 --j 4", "lam", "25,12"),
+    ])
+    def test_key_is_read_as_the_flag_it_names(self, tmp_path, line, command, dest, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        args = cli.build_parser(cli._read_config_file(cfg)).parse_args(command.split())
+        assert getattr(args, dest) == value
+
+    def test_switch_value_that_is_not_a_truth_value_rejected(self, sim_dir, tmp_path,
+                                                             monkeypatch, capsys):
+        forbid_calls(monkeypatch, (cli, "frequentist_fit"), (vi, "fit"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("include-noise = maybe\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "predict", "--input", str(sim_dir / "data.csv"),
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "include_noise" in err and "maybe" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_hyper_line_acts_like_a_flag(self, sim_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -317,3 +317,22 @@ class TestSummaries:
         assert table["e"].shape == (4,)
         assert table["lam"].shape == (1,)
         assert np.all(np.isfinite(table["mu"]))
+
+    def test_rhat_table_matches_per_entry_loop(self, hyper):
+        ds, _ = simulate(SimScenario(I=5, J=4, Q=2, lambda_true=(8.0, 4.0), seed=6))
+        draws = gibbs.gibbs_fit(ds, ModelConfig(Q=2, hyper=hyper),
+                                n_chains=3, n_iter=60, n_burn=10)
+        table = gibbs.rhat_table(draws)
+        assert list(table) == ["mu", "sigma2", "g", "e", "lam"]
+        for name, rhat in table.items():
+            block = getattr(draws, name)
+            for idx in np.ndindex(block.shape[2:]):
+                want = gelman_rubin(block[(slice(None), slice(None), *idx)])
+                assert np.asarray(rhat)[idx] == want, (name, idx)
+
+    def test_stacked_draws_reject_non_positive_sigma2(self):
+        sigma2 = np.ones((2, 10))
+        for bad in (0.0, -1.0):
+            sigma2[1, 7] = bad
+            with pytest.raises(ValueError, match="sigma2"):
+                replace(self.make_draws(np.zeros((2, 10))), sigma2=sigma2)

@@ -216,17 +216,27 @@ class TestGelmanRubin:
                            rng.standard_normal(500) + 100.0])
         assert gelman_rubin(draws) > 1.1
 
-    def test_matches_scripted_formula(self, rng):
-        draws = rng.normal(0.0, 1.0, (3, 40)) + np.array([[0.0], [0.5], [-0.2]])
-        # independent split-R-hat evaluation
-        half = 20
-        seqs = [draws[c, a:a + half] for c in range(3) for a in (0, half)]
-        m, n = len(seqs), half
+    @staticmethod
+    def scripted_rhat(draws):
+        """Independent split-R-hat evaluation of (chains x iterations) draws."""
+        n = draws.shape[1] // 2
+        seqs = [draws[c, a:a + n] for c in range(draws.shape[0]) for a in (0, n)]
         means = np.array([s.mean() for s in seqs])
         w = np.mean([s.var(ddof=1) for s in seqs])
         b = n * means.var(ddof=1)
-        expected = np.sqrt(((n - 1) / n * w + b / n) / w)
-        assert gelman_rubin(draws) == pytest.approx(expected, abs=1e-12)
+        return np.sqrt(((n - 1) / n * w + b / n) / w)
+
+    def test_matches_scripted_formula(self, rng):
+        draws = rng.normal(0.0, 1.0, (3, 40)) + np.array([[0.0], [0.5], [-0.2]])
+        assert gelman_rubin(draws) == pytest.approx(self.scripted_rhat(draws), abs=1e-12)
+
+    def test_trailing_axes_match_scripted_formula_entry_by_entry(self, rng):
+        draws = rng.normal(0.0, 1.0, (3, 40, 4, 2)) + rng.normal(0.0, 0.5, (3, 1, 4, 2))
+        rhat = gelman_rubin(draws)
+        assert rhat.shape == (4, 2)
+        for idx in np.ndindex(4, 2):
+            want = self.scripted_rhat(draws[(slice(None), slice(None), *idx)])
+            assert rhat[idx] == pytest.approx(want, abs=1e-12)
 
     @given(scale=st.floats(0.1, 50.0), shift=st.floats(-100.0, 100.0))
     @settings(max_examples=50, deadline=None)
@@ -243,6 +253,5 @@ class TestGelmanRubin:
             gelman_rubin(np.ones((4, 100)))
         with pytest.raises(ValueError):
             gelman_rubin(np.zeros((4, 3)))
-        for shape in ((100,), (4, 100, 2)):
-            with pytest.raises(ValueError, match="2-d"):
-                gelman_rubin(np.random.default_rng(0).standard_normal(shape))
+        with pytest.raises(ValueError, match="2-d"):
+            gelman_rubin(np.random.default_rng(0).standard_normal(100))

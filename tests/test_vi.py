@@ -588,7 +588,7 @@ class TestPostProcess:
         for _ in range(50):
             I, J, Q = int(rng.integers(3, 12)), int(rng.integers(3, 9)), int(rng.integers(1, 3))
             theta = random_theta(rng, I, J, Q)
-            (row, col, grand), svals, gamma, delta = centered_svd(
+            svals, gamma, delta = centered_svd(
                 (theta.gamma * theta.lam) @ theta.delta.T, Q)
             out = vi.post_process(theta)
             assert np.max(np.abs(out.lam - svals[:Q])) < 1e-10
