@@ -150,10 +150,7 @@ class ThetaPoint:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", delta)
-        # a float is compared as it is: every kept Gibbs draw builds two points,
-        # and the array check would cost about 3 us more per point
-        sigma2 = self.sigma2
-        if (sigma2 <= 0) if np.isscalar(sigma2) else (np.asarray(sigma2) <= 0).any():
+        if (np.asarray(self.sigma2) <= 0).any():
             raise ValueError("sigma2 must be > 0")
 
     @property

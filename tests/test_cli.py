@@ -468,6 +468,13 @@ class TestConfigFile:
         args = cli.build_parser(cli._read_config_file(cfg)).parse_args(command.split())
         assert getattr(args, dest) == value
 
+    def test_attribute_name_that_is_no_flag_rejected(self, tmp_path):
+        # simulate --lambda sets args.lam, but a key names the flag, not the attribute
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lam = 25,12\n")
+        with pytest.raises(cli.ValidationError, match="no subcommand defines: lam$"):
+            cli.build_parser(cli._read_config_file(cfg))
+
     def test_switch_value_that_is_not_a_truth_value_rejected(self, sim_dir, tmp_path,
                                                              monkeypatch, capsys):
         forbid_calls(monkeypatch, (cli, "frequentist_fit"), (vi, "fit"))
