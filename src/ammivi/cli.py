@@ -16,9 +16,9 @@ import numpy as np
 
 from . import analysis, gibbs, simulate, vi
 from .freqfit import frequentist_fit
-from .model import (SCALAR_BLOCKS, THETA_FIELDS, DimensionMismatchError, Hyperparams,
-                    ModelConfig, ValidationError, default_hyperparams, load_csv, load_theta_csv,
-                    mean_matrix, param_rows, write_csv, write_rows, write_theta_csv)
+from .model import (DimensionMismatchError, Hyperparams, ModelConfig, ValidationError,
+                    default_hyperparams, load_csv, load_theta_csv, mean_matrix, param_rows,
+                    write_csv, write_rows, write_theta_csv)
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -157,8 +157,7 @@ def run_fit_mcmc(args) -> int:
     summary = gibbs.summarize(draws)
     stats = ("mean", "q05", "q50", "q95")
     write_rows(out / "mcmc_summary.csv", ["parameter", "index1", "index2", *stats],
-               param_rows((name, *(summary[name][s] for s in stats))
-                          for name in THETA_FIELDS if name in SCALAR_BLOCKS))
+               param_rows((name, *(block[s] for s in stats)) for name, block in summary.items()))
     write_theta_csv(gibbs.posterior_mean_theta(draws), out / "theta.csv")
     if draws.n_chains >= 2:
         write_rows(out / "rhat.csv", ["parameter", "index", "rhat"],
@@ -251,7 +250,7 @@ def run_benchmark(args) -> int:
 
 
 def _read_config_file(path) -> dict:
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -260,8 +259,14 @@ def _read_config_file(path) -> dict:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        # each hyper line is one --hyper flag; a command-line --hyper appends after them
-        values[key] = values.get(key, []) + [val] if key == "hyper" else val
+        if key == "hyper":
+            # each hyper line is one --hyper flag; a command-line --hyper appends after them
+            values[key] = values.get(key, []) + [val]
+            continue
+        if key in first_line:
+            raise ValidationError(f"{path}:{lineno}: config key {key} repeats line "
+                                  f"{first_line[key]}")
+        first_line[key], values[key] = lineno, val
     return values
 
 

@@ -271,11 +271,14 @@ def posterior_mean_theta(draws: PosteriorDraws) -> ThetaPoint:
 
 
 def summarize(draws: PosteriorDraws) -> dict[str, dict[str, np.ndarray]]:
-    """Per-parameter mean and 5/50/95% quantiles of the draws."""
+    """Mean and 5/50/95% quantiles of every entry of each block in SCALAR_BLOCKS.
+
+    The blocks come in THETA_FIELDS order, the row order of every parameter table.
+    """
     if draws.n_iter == 0:
         raise ValueError("no draws to summarize")
     out = {}
-    for name in THETA_FIELDS:
+    for name in [field for field in THETA_FIELDS if field in SCALAR_BLOCKS]:
         flat = draws.flat(name)
         qs = np.quantile(flat, QUANTILE_LEVELS, axis=0)
         out[name] = {"mean": flat.mean(axis=0),

@@ -468,6 +468,17 @@ class TestConfigFile:
         args = cli.build_parser(cli._read_config_file(cfg)).parse_args(command.split())
         assert getattr(args, dest) == value
 
+    def test_repeated_key_rejected(self, sim_dir, tmp_path, capsys):
+        # `-` and `_` spell the same key; hyper lines stay repeatable
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter = 5\nhyper = a=0.5\n# note\nhyper = b=0.5\nmax_iter = 8\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "fit-vi", "--input", str(sim_dir / "data.csv"),
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:5: config key max_iter repeats line 1" in err
+        assert not out.exists()
+
     def test_attribute_name_that_is_no_flag_rejected(self, tmp_path):
         # simulate --lambda sets args.lam, but a key names the flag, not the attribute
         cfg = tmp_path / "run.cfg"

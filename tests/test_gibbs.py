@@ -281,6 +281,12 @@ class TestSummaries:
             gamma=np.zeros((c, t, 2, 1)), delta=np.zeros((c, t, 2, 1)),
             sigma2=np.ones((c, t)))
 
+    def test_reported_blocks_in_table_order(self):
+        # gamma and delta columns can flip sign between draws, so they are not summarised
+        summary = gibbs.summarize(self.make_draws(np.zeros((2, 10))))
+        assert list(summary) == ["mu", "g", "e", "lam", "sigma2"]
+        assert summary["g"]["q50"].shape == (2,)
+
     def test_constant_draws(self):
         draws = self.make_draws(np.full((2, 10), 7.0))
         summary = gibbs.summarize(draws)

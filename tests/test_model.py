@@ -1,10 +1,15 @@
 """Data model, mean function and CSV round trips."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ammivi
 from ammivi import gibbs, vi
 from ammivi.freqfit import frequentist_fit
 from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
@@ -331,3 +336,15 @@ class TestDatasetProperties:
         y[data.draw(st.integers(0, ds.n_obs - 1))] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             self.rebuild(ds, y=y)
+
+
+def test_import_loads_no_scipy_subpackage_but_special():
+    """`import ammivi` dominates start-up time; each further scipy subpackage adds 0.04-0.3 s."""
+    src = str(Path(ammivi.__file__).resolve().parents[1])
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import ammivi; "
+              "print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
+              "if m.startswith('scipy.')})))")
+    out = subprocess.run([sys.executable, "-c", script, src], check=True,
+                         capture_output=True, text=True).stdout.split()
+    public = [name for name in out if not name.startswith("_") and name != "version"]
+    assert public == ["special"]

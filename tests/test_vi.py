@@ -1,6 +1,7 @@
 """Coordinate-ascent updates, ELBO, convergence and post-processing."""
 
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import gammaln, log_ndtr
 
 from ammivi import gibbs, vi
-from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
+from ammivi.model import (THETA_FIELDS, Dataset, Hyperparams, ModelConfig, ThetaPoint,
                           mean_matrix)
 from ammivi.simulate import SimScenario, simulate
 from ammivi.statsmath import centered_svd, sample_trunc_normal
@@ -487,6 +488,92 @@ class TestElbo:
             f"ELBO decreased at sweep 3: {trace[2]!r} -> -95.0",
             f"ELBO decreased at sweep 5: -80.0 -> {trace[5]!r}"]
         assert result.elbo_trace.tolist() == trace
+
+
+class TestRidgeStep:
+    """The closed-form step along the additive ridge (mu + c + d, g - c, e - d)."""
+
+    # distinct prior precisions, strong enough that the optimum is well away from the start
+    HYPER = Hyperparams(mu_mu=48.0, sigma2_mu=4.0, sigma2_g=1.0, sigma2_e=2.0)
+
+    def stepped_state(self, rng, Q=2):
+        ds = random_dataset(rng, 9, 6, missing=0.3)
+        config = ModelConfig(Q=Q, hyper=self.HYPER)
+        state = state_with_variances(random_theta(rng, 9, 6, Q), ds, config, rng)
+        cache = vi.expectations(state)
+        before = state.copy(), vi._resid(cache, ds)
+        vi._ridge_step(state, self.HYPER, cache)
+        return ds, state, cache, before
+
+    def elbo_at(self, state, ds):
+        return vi.elbo(state, ds, self.HYPER, vi.expected_sse(vi.expectations(state), ds))
+
+    @pytest.mark.parametrize("Q", [0, 1, 2])
+    def test_cell_means_and_variances_stay_put(self, rng, Q):
+        ds, state, cache, (start, resid) = self.stepped_state(rng, Q)
+        assert abs(state.mu_q_mu - start.mu_q_mu) > 1e-3
+        np.testing.assert_allclose(vi._resid(cache, ds), resid, rtol=0, atol=1e-12)
+        for block in vi.BLOCKS:
+            assert np.array_equal(getattr(state, f"Sigma_q_{block}"),
+                                  getattr(start, f"Sigma_q_{block}"))
+        fresh = vi.expectations(state)
+        assert cache.tilde_mu == fresh.tilde_mu
+        assert np.array_equal(cache.tilde_g, fresh.tilde_g)
+        assert np.array_equal(cache.tilde_e, fresh.tilde_e)
+
+    def test_second_call_is_a_fixed_point(self, rng):
+        ds, state, cache, _ = self.stepped_state(rng)
+        c, d = vi._ridge_step(state, self.HYPER, cache)
+        assert abs(c) < 1e-12 and abs(d) < 1e-12
+
+    def test_elbo_is_maximal_along_the_ridge(self, rng):
+        ds, state, _, (start, _) = self.stepped_state(rng)
+        best = self.elbo_at(state, ds)
+        assert best > self.elbo_at(start, ds)
+        for c, d in ((1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
+            shifted = state.copy()
+            shifted.mu_q_mu += c + d
+            shifted.mu_q_g -= c
+            shifted.mu_q_e -= d
+            assert best >= self.elbo_at(shifted, ds), (c, d)
+
+
+SMALL_SCENARIOS = ["recovery-q2", "init-study"] + [
+    f"bench-small-n{n}-q{q}" for n in (100, 250, 500, 1000) for q in (1, 2)]
+
+
+def fit_scenario(name, missing):
+    from ammivi.freqfit import frequentist_fit
+    from ammivi.model import default_hyperparams
+    from ammivi.simulate import scenario_by_name
+    scenario = dataclasses.replace(scenario_by_name(name), missing_fraction=missing)
+    ds, _ = simulate(scenario)
+    return vi.fit(ds, ModelConfig(Q=scenario.Q, hyper=default_hyperparams(ds)),
+                  frequentist_fit(ds, scenario.Q))
+
+
+@pytest.mark.parametrize("name", SMALL_SCENARIOS)
+def test_converges_on_incomplete_small_grids(name):
+    """With 20% of cells missing, VI converges within the sweep cap and the ELBO never falls."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = fit_scenario(name, 0.2)
+    assert result.converged and result.n_iter < 1000
+
+
+@pytest.mark.parametrize("name", ["recovery-q2", "bench-small-n100-q1", "bench-small-n250-q2",
+                                  "bench-small-n500-q1", "bench-small-n1000-q2"])
+def test_ridge_step_leaves_complete_grid_fits_alone(name, monkeypatch):
+    """On complete grids CAVI sits on the ridge optimum already: the fit is
+    the one without the step, to 1e-10 and in as many sweeps."""
+    with_step = fit_scenario(name, 0.0)
+    monkeypatch.setattr(vi, "_ridge_step", lambda *args: (0.0, 0.0))
+    without = fit_scenario(name, 0.0)
+    assert with_step.converged and with_step.n_iter == without.n_iter
+    assert abs(with_step.elbo_trace[-1] - without.elbo_trace[-1]) <= 1e-10
+    for block in THETA_FIELDS:
+        np.testing.assert_allclose(getattr(with_step.theta, block),
+                                   getattr(without.theta, block), rtol=0, atol=1e-10)
 
 
 class TestFit:
