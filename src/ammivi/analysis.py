@@ -56,7 +56,8 @@ def _vi_parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
     return mu, g, e, lam, gamma, delta, sigma2
 
 
-# predict's budget of cell draws (about 4 MB); one block holds at most _BLOCK_CELLS // 8
+# predict's budget of cell draws (about 4 MB); one block holds at most _BLOCK_CELLS // 8,
+# or one cell when there are more draws than that
 _BLOCK_CELLS = 500_000
 
 
@@ -104,23 +105,26 @@ def _cell_summary(mu, g, e, lam, gamma, delta, sigma2, include_noise, rng):
     """Mean and 5/50/95% quantiles over D draws of every cell, block by block on a thread pool.
 
     The draws come as (D,), (D, I), (D, J), (D, Q), (D, I, Q), (D, J, Q) and
-    (D,) arrays. They are laid out once with the draws on the last axis. A
-    block is one genotype row by a run of environments, at most
-    _BLOCK_CELLS // 8 cell draws; the layout depends on I, J and D only.
-    Each worker takes one share of the blocks and fills one (cells, scratch)
-    buffer pair allocated here (numpy's loops and sort release the GIL). A
-    block's mean is taken first; the block is then sorted in place along the
-    draws and the quantiles are read off it at numpy's linear-rule
-    positions, equal to np.quantile's bitwise. With include_noise, each
-    block draws its noise from its own child of rng, spawned before any
-    worker starts, so seeded output does not depend on the worker count.
+    (D,) arrays, read where they lie. Only the environment side, mu + e and
+    delta, is laid out once with the draws on the last axis (J (1 + Q) D
+    values). A block is one genotype row by a run of environments, at most
+    _BLOCK_CELLS // 8 cell draws, or one cell of D draws when D is larger;
+    the layout depends on I, J and D only. Each worker takes one contiguous
+    run of the blocks, so it meets each genotype row once, and fills a
+    (1 + Q, D) row buffer with g[:, i] and gamma[:, i, q] * lam[:, q] when it
+    reaches row i, and one (cells, scratch) buffer pair for the blocks
+    (numpy's loops and sort release the GIL). A block's mean is taken first;
+    the block is then sorted in place along the draws and the quantiles are
+    read off it at numpy's linear-rule positions, equal to np.quantile's
+    bitwise. With include_noise, each block draws its noise from its own
+    child of rng, spawned before any worker starts, so seeded output does
+    not depend on the worker count.
     Returns the mean grid, the (3, I, J) quantile grids and the worker count.
     """
     D, I = g.shape
     J = e.shape[1]
-    g_t = np.ascontiguousarray(g.T)
+    Q = lam.shape[1]
     mu_e_t = np.ascontiguousarray((mu[:, None] + e).T)
-    lam_gamma_t = np.ascontiguousarray((gamma * lam[:, None, :]).transpose(1, 2, 0))
     delta_t = np.ascontiguousarray(delta.transpose(2, 1, 0))
     sd = np.sqrt(sigma2)
     positions = _linear_positions(D)
@@ -133,15 +137,22 @@ def _cell_summary(mu, g, e, lam, gamma, delta, sigma2, include_noise, rng):
     size = min(width, J) * D
     # each worker holds two blocks, so the pool stays within the _BLOCK_CELLS budget
     workers = min(_worker_count(), len(blocks), max(1, _BLOCK_CELLS // (2 * size)))
-    buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]
 
-    def run_share(share, buffer_pair):
+    def run_share(share):
+        row = np.empty((1 + Q, D))
+        buffer_pair = (np.empty(size), np.empty(size))
+        filled = -1
         for (i, cols), stream in share:
+            if i != filled:
+                row[0] = g[:, i]
+                for q in range(Q):
+                    np.multiply(gamma[:, i, q], lam[:, q], out=row[1 + q])
+                filled = i
             n = cols.stop - cols.start
             cells, scratch = (buf[:n * D].reshape(n, D) for buf in buffer_pair)
-            np.add(g_t[i], mu_e_t[cols], out=cells)
-            for q in range(lam.shape[1]):
-                np.multiply(lam_gamma_t[i, q], delta_t[q, cols], out=scratch)
+            np.add(row[0], mu_e_t[cols], out=cells)
+            for q in range(Q):
+                np.multiply(row[1 + q], delta_t[q, cols], out=scratch)
                 np.add(cells, scratch, out=cells)
             if stream is not None:
                 stream.standard_normal(out=scratch)
@@ -152,9 +163,12 @@ def _cell_summary(mu, g, e, lam, gamma, delta, sigma2, include_noise, rng):
             qs[:, i, cols] = _sorted_quantiles(cells, positions)
 
     jobs = list(zip(blocks, streams))
+    # contiguous, non-empty runs of blocks: each row is gathered by one worker, or two
+    shares = [jobs[len(jobs) * w // workers:len(jobs) * (w + 1) // workers]
+              for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # list() re-raises the first worker exception; leaving the block joins every thread
-        list(pool.map(run_share, [jobs[w::workers] for w in range(workers)], buffers))
+        list(pool.map(run_share, shares))
     return mean, qs, workers
 
 

@@ -250,6 +250,40 @@ class TestPredictMemory:
             peaks[workers] = self.peak_bytes(fitted, include_noise)
         assert max(peaks[4], peaks[8]) - peaks[1] <= analysis._BLOCK_CELLS * 8, peaks
 
+    @pytest.fixture(scope="class")
+    def by_genotypes(self):
+        """A VI fit and a stack of 2 x 2500 draws on 60 x 40 and 120 x 40 grids, Q = 2."""
+        out = {}
+        for I in (60, 120):
+            ds, _ = simulate(SimScenario(I=I, J=40, Q=2, lambda_true=(12.0, 5.0), seed=4))
+            fit = vi.fit(ds, ModelConfig(Q=2, hyper=default_hyperparams(ds)),
+                         frequentist_fit(ds, 2))
+            # more draws than predict takes, so it copies the N_DRAWS it picks
+            flat = analysis._vi_parameter_draws(fit, 5000, np.random.default_rng(0))
+            draws = gibbs.PosteriorDraws(*(a.reshape(2, 2500, *a.shape[1:]) for a in flat))
+            out[I] = ds, {"vi": fit, "mcmc": draws}
+        return out
+
+    def draw_bytes(self, fit):
+        """Bytes of the N_DRAWS parameter draws that predict makes or picks."""
+        if isinstance(fit, vi.FitResult):
+            draws = analysis._vi_parameter_draws(fit, self.N_DRAWS, np.random.default_rng(0))
+        else:
+            draws = [fit.flat(name)[:self.N_DRAWS] for name in THETA_FIELDS]
+        return sum(a.nbytes for a in draws)
+
+    @pytest.mark.parametrize("include_noise", [False, True])
+    @pytest.mark.parametrize("kind", ["vi", "mcmc"])
+    def test_working_memory_does_not_grow_with_genotypes(self, by_genotypes, kind,
+                                                         include_noise):
+        # beyond the draws, predict holds the environment side laid out once, the
+        # output grids and each worker's buffers; doubling I adds only the 77 kB of
+        # grids and, with noise, the streams of the new blocks
+        working = {I: self.peak_bytes((ds, fits[kind]), include_noise)
+                   - self.draw_bytes(fits[kind])
+                   for I, (ds, fits) in by_genotypes.items()}
+        assert working[120] - working[60] < 2 ** 20, working
+
 
 class TestRmse:
     def test_identical(self):
