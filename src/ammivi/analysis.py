@@ -37,16 +37,24 @@ class PredictiveSummary:
     threads: int             # worker threads that summarised the cells
 
 
+def _normal_draws(rng: np.random.Generator, mean: np.ndarray, var: np.ndarray,
+                  n_draws: int) -> np.ndarray:
+    """n_draws of N(mean, var), each element mean + sd * z, scaled and shifted in place."""
+    draws = rng.standard_normal((n_draws, *mean.shape))
+    draws *= np.sqrt(var)
+    draws += mean
+    return draws
+
+
 def _vi_parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
     st = fit.state
-    I, Q = st.mu_q_gamma.shape
-    J = st.mu_q_delta.shape[0]
+    Q = st.mu_q_gamma.shape[1]
     mu = rng.normal(st.mu_q_mu, np.sqrt(st.Sigma_q_mu), n_draws)
-    g = st.mu_q_g + np.sqrt(st.Sigma_q_g) * rng.standard_normal((n_draws, I))
-    e = st.mu_q_e + np.sqrt(st.Sigma_q_e) * rng.standard_normal((n_draws, J))
+    g = _normal_draws(rng, st.mu_q_g, st.Sigma_q_g, n_draws)
+    e = _normal_draws(rng, st.mu_q_e, st.Sigma_q_e, n_draws)
     lam = np.empty((n_draws, Q))
-    gamma = st.mu_q_gamma + np.sqrt(st.Sigma_q_gamma) * rng.standard_normal((n_draws, I, Q))
-    delta = st.mu_q_delta + np.sqrt(st.Sigma_q_delta) * rng.standard_normal((n_draws, J, Q))
+    gamma = _normal_draws(rng, st.mu_q_gamma, st.Sigma_q_gamma, n_draws)
+    delta = _normal_draws(rng, st.mu_q_delta, st.Sigma_q_delta, n_draws)
     for q in range(Q):
         lam[:, q] = sample_trunc_normal(rng, st.mu_q_lambda[q], st.Sigma_q_lambda[q],
                                         size=n_draws)

@@ -9,18 +9,18 @@ noise precision.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_ndtr
 
 from .model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint,
                     post_process)
-from .statsmath import fix_signs, trunc_normal_moments
+from .statsmath import digamma, fix_signs, gammaln, log_ndtr, trunc_normal_moments
 
-_LOG_2PI = np.log(2.0 * np.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 # an ELBO step may fall by this much (relative) to rounding before it is reported
 _ELBO_RTOL = 1e-8
 # the blocks with a mean field mu_q_<block> and a variance field Sigma_q_<block>
@@ -364,10 +364,10 @@ def _neg_kl_normal(m, v, m0, v0):
 
 def _neg_kl_gamma(a_q, b_q, a, b):
     # E_q[log p(tau)] - E_q[log q(tau)] for Gamma(shape, rate) laws
-    e_log_tau = digamma(a_q) - np.log(b_q)
+    e_log_tau = digamma(a_q) - math.log(b_q)
     e_tau = a_q / b_q
-    e_log_p = a * np.log(b) - gammaln(a) + (a - 1.0) * e_log_tau - b * e_tau
-    e_log_q = a_q * np.log(b_q) - gammaln(a_q) + (a_q - 1.0) * e_log_tau - a_q
+    e_log_p = a * math.log(b) - gammaln(a) + (a - 1.0) * e_log_tau - b * e_tau
+    e_log_q = a_q * math.log(b_q) - gammaln(a_q) + (a_q - 1.0) * e_log_tau - a_q
     return e_log_p - e_log_q
 
 
@@ -377,10 +377,9 @@ def _neg_kl_trunc(m, v, prior_var):
     mean_t, var_t = trunc_normal_moments(m, v)
     e_x2 = var_t + mean_t ** 2
     e_dev2 = var_t + (mean_t - m) ** 2
-    s = np.sqrt(v)
-    log_z = log_ndtr(m / s)
-    e_log_p = np.log(2.0) - 0.5 * (_LOG_2PI + np.log(prior_var)) - e_x2 / (2.0 * prior_var)
-    e_log_q = -0.5 * (_LOG_2PI + np.log(v)) - log_z - e_dev2 / (2.0 * v)
+    log_z = log_ndtr(m / math.sqrt(v))
+    e_log_p = math.log(2.0) - 0.5 * (_LOG_2PI + math.log(prior_var)) - e_x2 / (2.0 * prior_var)
+    e_log_q = -0.5 * (_LOG_2PI + math.log(v)) - log_z - e_dev2 / (2.0 * v)
     return float(e_log_p - e_log_q)
 
 
@@ -406,7 +405,7 @@ def elbo(state: VariationalState, dataset: Dataset, hyper: Hyperparams, sse: flo
     `sse` is the expected SSE `expected_sse(expectations(state), dataset)`,
     which a sweep computes once for `update_tau` and the ELBO.
     """
-    e_log_tau = digamma(state.a_q) - np.log(state.b_q)
+    e_log_tau = digamma(state.a_q) - math.log(state.b_q)
     return float(0.5 * dataset.n_obs * (e_log_tau - _LOG_2PI)
                  - 0.5 * (state.a_q / state.b_q) * sse + _neg_kl(state, hyper))
 

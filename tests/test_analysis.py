@@ -285,6 +285,40 @@ class TestPredictMemory:
         assert working[120] - working[60] < 2 ** 20, working
 
 
+class TestVIParameterDraws:
+    @pytest.fixture(scope="class")
+    def large_fit(self):
+        """A VI fit on a 200 x 100 grid, Q = 2."""
+        ds, _ = simulate(SimScenario(I=200, J=100, Q=2, lambda_true=(12.0, 5.0), seed=4))
+        return vi.fit(ds, ModelConfig(Q=2, hyper=default_hyperparams(ds)),
+                      frequentist_fit(ds, 2))
+
+    def test_normal_blocks_are_mean_plus_sd_times_z(self):
+        _, fit = small_fit(Q=2, I=7, J=5)
+        st, D = fit.state, 50
+        mu, g, e, lam, gamma, delta, sigma2 = analysis._vi_parameter_draws(
+            fit, D, np.random.default_rng(8))
+        twin = np.random.default_rng(8)
+        assert np.array_equal(mu, twin.normal(st.mu_q_mu, np.sqrt(st.Sigma_q_mu), D))
+        for block, draws in (("g", g), ("e", e), ("gamma", gamma), ("delta", delta)):
+            mean, var = getattr(st, f"mu_q_{block}"), getattr(st, f"Sigma_q_{block}")
+            want = mean + np.sqrt(var) * twin.standard_normal((D, *mean.shape))
+            if block == "gamma":  # its first row is drawn from truncated normals after delta
+                want[:, 0] = gamma[:, 0]
+            assert np.array_equal(draws, want), block
+        assert np.all(lam > 0) and np.all(gamma[:, 0] > 0) and np.all(sigma2 > 0)
+
+    def test_peak_memory_is_the_output(self, large_fit):
+        tracemalloc.start()
+        try:
+            draws = analysis._vi_parameter_draws(large_fit, 4000, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = sum(a.nbytes for a in draws)
+        assert peak - out <= 2 ** 20, (peak, out)
+
+
 class TestRmse:
     def test_identical(self):
         assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0

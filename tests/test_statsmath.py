@@ -1,14 +1,15 @@
-"""Numerical primitives: truncated normal, orthonormalization, R-hat."""
+"""Numerical primitives: special functions, truncated normal, orthonormalization, R-hat."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
-from ammivi.statsmath import (DegenerateInputError, fix_signs, gelman_rubin,
-                              orthonormalize_interaction, sample_trunc_normal,
+from ammivi import statsmath
+from ammivi.statsmath import (DegenerateInputError, fix_signs, gelman_rubin, log_ndtr,
+                              ndtri_exp, orthonormalize_interaction, sample_trunc_normal,
                               trunc_normal_moments)
 
 
@@ -35,6 +36,51 @@ def quad_moments(location, scale_sq):
     t_var = n2 / n0 - (n1 / n0) ** 2
     return location + s * t_mean, scale_sq * t_var
 
+
+class TestSpecialFunctions:
+    """The library's special functions against scipy.special, the implementation they replace."""
+
+    def test_log_ndtr_matches_scipy(self):
+        x = np.concatenate([np.linspace(-1e3, 38.0, 20_001), np.linspace(-21.0, 8.0, 2_901)])
+        got = np.array([log_ndtr(float(v)) for v in x])
+        want = special.log_ndtr(x)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+        # above x = 37.5, log Phi(x) = -Phi(-x) is subnormal and has no relative precision
+        assert np.all(np.abs(got[~normal] - want[~normal]) < np.finfo(float).tiny)
+
+    def test_ndtri_exp_matches_scipy(self):
+        y = np.concatenate([-np.geomspace(1e-300, 1e4, 20_001), np.linspace(-3.0, -1e-3, 3_001)])
+        np.testing.assert_allclose(ndtri_exp(y), special.ndtri_exp(y), rtol=1e-13, atol=0)
+
+    def test_ndtri_exp_deep_tail_inverts_scipy_log_ndtr(self):
+        # below y = -1e4 scipy's own ndtri_exp strays from the root by up to 6.6e-13
+        # (at y = -2.5e5, against 60-digit arithmetic), so this tail is checked backwards
+        y = -np.geomspace(1e4, 2.5e5, 2_001)
+        np.testing.assert_allclose(special.log_ndtr(ndtri_exp(y)), y, rtol=1e-13, atol=0)
+
+    def test_round_trip(self):
+        z = np.linspace(-700.0, 37.0, 7_371)
+        back = ndtri_exp(np.array([log_ndtr(float(v)) for v in z]))
+        np.testing.assert_allclose(back, z, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["digamma", "gammaln"])
+    def test_gamma_functions_match_scipy(self, name):
+        x = np.geomspace(1e-3, 1e6, 20_001)
+        got = np.array([getattr(statsmath, name)(float(v)) for v in x])
+        want = getattr(special, name)(x)
+        # relative, and absolute where |value| < 1: near the roots of digamma (1.46)
+        # and of gammaln (1 and 2), where no relative bound holds
+        np.testing.assert_array_less(np.abs(got - want), 1e-13 * np.maximum(np.abs(want), 1.0))
+
+    def test_ndtri_exp_float_and_array_paths_agree_bitwise(self):
+        newton = statsmath._NEWTON_BELOW
+        y = np.concatenate([-np.geomspace(1e-300, 2.5e5, 5_001), np.linspace(-3.0, 0.0, 3_001),
+                            np.log([0.075, 0.5, 0.925]),
+                            [np.nextafter(newton, 0.0), newton, np.nextafter(newton, -np.inf)]])
+        want = np.array([ndtri_exp(float(v)) for v in y])
+        assert np.array_equal(ndtri_exp(y), want)
+        assert ndtri_exp(0.0) == np.inf and ndtri_exp(np.log(0.5)) == 0.0
 
 class TestTruncNormalMoments:
     def test_half_normal_closed_form(self):
@@ -128,6 +174,16 @@ class TestSampleTruncNormal:
         assert np.all(draws > 0)
         law = stats.truncnorm(alpha, np.inf, loc=-alpha * s, scale=s)
         assert stats.kstest(draws, law.cdf).pvalue > 0.01
+
+    # -80 puts log Phi(location / s) below -690, in ndtri_exp's Newton tail
+    @pytest.mark.parametrize("location", [-80.0, -3.0, 0.3, 5.0, 60.0])
+    def test_float_draw_is_the_one_element_of_size_one(self, location):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(200):
+            single = sample_trunc_normal(rng, location, 4.0)
+            batch = sample_trunc_normal(twin, location, 4.0, size=1)
+            assert isinstance(single, float) and single == batch[0]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("size", [None, 1, 7, 1000])
     def test_one_uniform_per_draw(self, size):
