@@ -13,9 +13,8 @@ import numpy as np
 from . import gibbs, simulate, vi
 from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset, DimensionMismatchError,
-                    ModelConfig, ValidationError, default_hyperparams, mean_matrix,
-                    param_rows, write_rows)
+from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset, ModelConfig,
+                    ValidationError, default_hyperparams, mean_matrix, param_rows, write_rows)
 from .statsmath import sample_trunc_normal
 from .vi import FitResult
 
@@ -190,15 +189,12 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
     With include_noise, Normal observation noise is added per draw.
     """
     check_n_draws(n_draws)
-    I, J = dataset.n_genotypes, dataset.n_environments
     rng = np.random.default_rng(seed)
     if isinstance(fit, FitResult):
-        if fit.state.mu_q_g.size != I or fit.state.mu_q_e.size != J:
-            raise DimensionMismatchError("fit does not cover the dataset grid")
+        dataset.check_covers(fit.theta, "fit")
         blocks = _vi_parameter_draws(fit, n_draws, rng)
     else:
-        if fit.g.shape[2] != I or fit.e.shape[2] != J:
-            raise DimensionMismatchError("draws do not cover the dataset grid")
+        dataset.check_covers(fit, "draws")
         blocks = [fit.flat(name) for name in THETA_FIELDS]
         if len(blocks[0]) > n_draws:
             pick = rng.choice(len(blocks[0]), size=n_draws, replace=False)
@@ -220,8 +216,7 @@ def rmse(predicted, reference) -> float:
 
 def in_sample_rmse(theta, dataset: Dataset) -> float:
     """RMSE of fitted cell means against the observed responses."""
-    fitted = mean_matrix(theta)[dataset.rows, dataset.cols]
-    return rmse(fitted, dataset.y)
+    return rmse(dataset.at_cells(mean_matrix(theta)), dataset.y)
 
 
 def export_heatmap(summary: PredictiveSummary, dataset: Dataset, prefix) -> list[str]:
@@ -270,14 +265,9 @@ class ComparisonReport:
 
 def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> ComparisonReport:
     """Per-parameter means/sds of the two fitters plus speed and RMSE."""
-    Q = vi.state.n_components
-    if (mcmc.n_components != Q or mcmc.g.shape[2] != dataset.n_genotypes
-            or mcmc.e.shape[2] != dataset.n_environments
-            or vi.state.mu_q_g.size != dataset.n_genotypes
-            or vi.state.mu_q_e.size != dataset.n_environments):
-        raise DimensionMismatchError("fits disagree on I, J or Q")
-
     theta_vi, st = vi.theta, vi.state
+    dataset.check_covers(theta_vi, "VI fit")
+    dataset.check_covers(mcmc, "draws", theta_vi.n_components)
     theta_mcmc = gibbs.posterior_mean_theta(mcmc)
     sig_sd = np.sqrt(st.b_q ** 2 / ((st.a_q - 1.0) ** 2 * (st.a_q - 2.0))) \
         if st.a_q > 2 else np.nan

@@ -1,7 +1,7 @@
 """Command-line entry point wiring simulation, fitting, prediction and studies.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 divergence,
-5 dimension mismatch.
+Exit codes: 0 success, 2 validation error or not enough memory, 3 I/O error,
+4 divergence, 5 dimension mismatch.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def run_init_study(args) -> int:
     for seed_offset in range(args.n_seeds):
         seed = args.seed + seed_offset
         dataset, truth = simulate.simulate(simulate.with_seed(scenario, seed))
-        truth_cells = mean_matrix(truth)[dataset.rows, dataset.cols]
+        truth_cells = dataset.at_cells(mean_matrix(truth))
         config = ModelConfig(Q=scenario.Q, hyper=default_hyperparams(dataset), seed=seed,
                              **_sweep_limits(args))
         for mode in ("random", "freq", "mcmc-short"):
@@ -224,7 +224,7 @@ def run_init_study(args) -> int:
 
             def record(sweep, state, mode=mode, trace=trace):
                 theta = vi.posterior_mean_theta(state)
-                fitted = mean_matrix(theta)[dataset.rows, dataset.cols]
+                fitted = dataset.at_cells(mean_matrix(theta))
                 trace.append((sweep, analysis.rmse(fitted, dataset.y),
                               analysis.rmse(fitted, truth_cells)))
 
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -38,14 +38,14 @@ def fit_additive(dataset: Dataset) -> tuple[float, np.ndarray, np.ndarray]:
     reduces both to I+J-1 unknowns, at O(n + (I+J)^2) cost. Raises
     `DegenerateInputError` for a disconnected table (see `observed_grid`).
     """
-    I, J = dataset.n_genotypes, dataset.n_environments
+    I = dataset.n_genotypes
     n, n_rows, n_cols = dataset.n_obs, dataset.row_counts, dataset.col_counts
     observed = observed_grid(dataset)
     gram = np.block([[n, n_rows, n_cols],
                      [n_rows[:, None], np.diag(n_rows), observed],
                      [n_cols[:, None], observed.T, np.diag(n_cols)]])
-    rhs = np.concatenate([[dataset.y.sum()], np.bincount(dataset.rows, dataset.y, I),
-                          np.bincount(dataset.cols, dataset.y, J)])
+    rhs = np.concatenate([[dataset.y.sum()], dataset.row_sums(dataset.y),
+                          dataset.col_sums(dataset.y)])
 
     # sum coding: g_I = -sum(g_1..g_{I-1}), e_J likewise; applied along axis 0
     def code(a):
@@ -88,5 +88,5 @@ def frequentist_fit(dataset: Dataset, Q: int) -> ThetaPoint:
     mu, g, e = fit_additive(dataset)
     lam, gamma, delta = fit_interaction(dataset, mu, g, e, Q)
     theta = ThetaPoint(mu=mu, g=g, e=e, lam=lam, gamma=gamma, delta=delta, sigma2=1.0)
-    resid = dataset.y - mean_matrix(theta).ravel()[dataset.cells]
+    resid = dataset.y - dataset.at_cells(mean_matrix(theta))
     return replace(theta, sigma2=float(max(np.mean(resid ** 2), 1e-12)))

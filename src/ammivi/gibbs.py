@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .freqfit import frequentist_fit
-from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset,
-                    DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint, post_process)
+from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset, Hyperparams,
+                    ModelConfig, ThetaPoint, post_process)
 from .statsmath import gelman_rubin, sample_trunc_normal
 
 
@@ -177,8 +177,7 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
     I, J, Q = dataset.n_genotypes, dataset.n_environments, config.Q
     hyper = config.hyper
     base = init if init is not None else frequentist_fit(dataset, Q)
-    if base.g.size != I or base.e.size != J or base.n_components != Q:
-        raise DimensionMismatchError("init dimensions do not match dataset/config")
+    dataset.check_covers(base, "init", Q)
     store = {name: np.empty((n_chains, n_iter - n_burn, *np.shape(getattr(base, name))))
              for name in THETA_FIELDS}
     rows, cols, n = dataset.rows, dataset.cols, dataset.n_obs
@@ -202,13 +201,13 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
             mu = new_mu
 
             prec = n_rows * tau + 1.0 / hyper.sigma2_g
-            means = tau * (np.bincount(rows, weights=r, minlength=I) + n_rows * theta.g) / prec
+            means = tau * (dataset.row_sums(r) + n_rows * theta.g) / prec
             new = means + np.sqrt(1.0 / prec) * rng.standard_normal(I)
             r += (theta.g - new)[rows]
             theta.g[:] = new
 
             prec = n_cols * tau + 1.0 / hyper.sigma2_e
-            means = tau * (np.bincount(cols, weights=r, minlength=J) + n_cols * theta.e) / prec
+            means = tau * (dataset.col_sums(r) + n_cols * theta.e) / prec
             new = means + np.sqrt(1.0 / prec) * rng.standard_normal(J)
             r += (theta.e - new)[cols]
             theta.e[:] = new
@@ -224,9 +223,9 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
                 r += (lam - new_lam) * gd
                 theta.lam[q] = lam = new_lam
 
-                d_sq = np.bincount(rows, weights=dcol * dcol, minlength=I)
+                d_sq = dataset.row_sums(dcol * dcol)
                 prec = tau * lam ** 2 * d_sq + 1.0
-                locs = tau * lam * (np.bincount(rows, weights=dcol * r, minlength=I)
+                locs = tau * lam * (dataset.row_sums(dcol * r)
                                     + lam * theta.gamma[:, q] * d_sq) / prec
                 new = np.empty(I)
                 new[0] = sample_trunc_normal(rng, locs[0], 1.0 / prec[0])
@@ -235,9 +234,9 @@ def gibbs_fit(dataset: Dataset, config: ModelConfig, n_chains: int = 4,
                 theta.gamma[:, q] = new
 
                 gcol = new[rows]
-                g_sq = np.bincount(cols, weights=gcol * gcol, minlength=J)
+                g_sq = dataset.col_sums(gcol * gcol)
                 prec = tau * lam ** 2 * g_sq + 1.0
-                locs = tau * lam * (np.bincount(cols, weights=gcol * r, minlength=J)
+                locs = tau * lam * (dataset.col_sums(gcol * r)
                                     + lam * theta.delta[:, q] * g_sq) / prec
                 new = locs + np.sqrt(1.0 / prec) * rng.standard_normal(J)
                 r += lam * gcol * (theta.delta[:, q] - new)[cols]

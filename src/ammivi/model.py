@@ -95,6 +95,27 @@ class Dataset:
         grid.flat[self.cells] = True
         return _read_only(grid)
 
+    def row_sums(self, w: np.ndarray) -> np.ndarray:
+        """Sum of the per-observation values w over each genotype row."""
+        return np.bincount(self.rows, weights=w, minlength=self.n_genotypes)
+
+    def col_sums(self, w: np.ndarray) -> np.ndarray:
+        """Sum of the per-observation values w over each environment column."""
+        return np.bincount(self.cols, weights=w, minlength=self.n_environments)
+
+    def at_cells(self, grid: np.ndarray) -> np.ndarray:
+        """An I x J grid read at each observed cell, in observation order."""
+        return grid.ravel()[self.cells]
+
+    def check_covers(self, point: ThetaPoint, what: str, Q: int | None = None) -> None:
+        """Raise DimensionMismatchError unless point's g, e (and lam, given Q) end in I, J (Q).
+
+        Only last axes are read, so a point and a stack of draws are checked alike.
+        """
+        if (point.g.shape[-1] != self.n_genotypes or point.e.shape[-1] != self.n_environments
+                or Q is not None and point.n_components != Q):
+            raise DimensionMismatchError(f"{what} dimensions do not match dataset/config")
+
 
 @dataclass(frozen=True)
 class Hyperparams:

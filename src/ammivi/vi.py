@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig, ThetaPoint,
-                    post_process)
+from .model import Dataset, Hyperparams, ModelConfig, ThetaPoint, post_process
 from .statsmath import digamma, fix_signs, gammaln, log_ndtr, trunc_normal_moments
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -156,9 +155,8 @@ def init_state(theta: ThetaPoint, dataset: Dataset, config: ModelConfig
     positive-truncated factor) further than 1e-12 from zero starts
     positive; an exact zero there is moved to 1e-6.
     """
+    dataset.check_covers(theta, "theta", config.Q)
     I, J, Q = dataset.n_genotypes, dataset.n_environments, config.Q
-    if theta.g.size != I or theta.e.size != J or theta.n_components != Q:
-        raise DimensionMismatchError("theta dimensions do not match dataset/config")
     lam = np.maximum(theta.lam.astype(float), 1e-6)
     gamma, delta = fix_signs(theta.gamma.astype(float), theta.delta.astype(float))
     gamma[0, gamma[0] == 0.0] = 1e-6
@@ -189,11 +187,6 @@ def random_theta(dataset: Dataset, Q: int, rng: np.random.Generator) -> ThetaPoi
         sigma2=1.0)
 
 
-def _grid(a: np.ndarray, b: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """sum_q a[i, q] * b[j, q] at each observed cell (i, j), read from the I x J product."""
-    return (a @ b.T).ravel()[dataset.cells]
-
-
 def _resid(cache: ExpectationCache, dataset: Dataset, drop: int | None = None) -> np.ndarray:
     """y minus the expected cell mean at each observed cell; updates add their own term back.
 
@@ -209,7 +202,7 @@ def _resid(cache: ExpectationCache, dataset: Dataset, drop: int | None = None) -
         lam[drop] = 0.0
     grid = (cache.tilde_gamma * lam) @ cache.tilde_delta.T
     grid += cache.tilde_mu + cache.tilde_g[:, None] + cache.tilde_e
-    return dataset.y - grid.ravel()[dataset.cells]
+    return dataset.y - dataset.at_cells(grid)
 
 
 def update_mu(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
@@ -226,8 +219,7 @@ def update_g(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
              cache: ExpectationCache) -> tuple[np.ndarray, np.ndarray]:
     n_rows = dataset.row_counts
     prec = n_rows * cache.tilde_tau + 1.0 / hyper.sigma2_g
-    sums = (np.bincount(dataset.rows, weights=_resid(cache, dataset), minlength=n_rows.size)
-            + n_rows * cache.tilde_g)
+    sums = dataset.row_sums(_resid(cache, dataset)) + n_rows * cache.tilde_g
     state.mu_q_g = cache.tilde_tau * sums / prec
     state.Sigma_q_g = 1.0 / prec
     cache.tilde_g, cache.var_g = state.mu_q_g.copy(), state.Sigma_q_g.copy()
@@ -238,8 +230,7 @@ def update_e(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
              cache: ExpectationCache) -> tuple[np.ndarray, np.ndarray]:
     n_cols = dataset.col_counts
     prec = n_cols * cache.tilde_tau + 1.0 / hyper.sigma2_e
-    sums = (np.bincount(dataset.cols, weights=_resid(cache, dataset), minlength=n_cols.size)
-            + n_cols * cache.tilde_e)
+    sums = dataset.col_sums(_resid(cache, dataset)) + n_cols * cache.tilde_e
     state.mu_q_e = cache.tilde_tau * sums / prec
     state.Sigma_q_e = 1.0 / prec
     cache.tilde_e, cache.var_e = state.mu_q_e.copy(), state.Sigma_q_e.copy()
@@ -282,8 +273,9 @@ def update_lambda(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
     a sweep builds it once for the lambda_q, gamma_q and delta_q updates
     (it does not depend on component q).
     """
-    gd_sq = _grid(cache.tilde_gamma_sq[:, q:q + 1], cache.tilde_delta_sq[:, q:q + 1], dataset)
-    gd = _grid(cache.tilde_gamma[:, q:q + 1], cache.tilde_delta[:, q:q + 1], dataset)
+    col = slice(q, q + 1)
+    gd_sq = dataset.at_cells(cache.tilde_gamma_sq[:, col] @ cache.tilde_delta_sq[:, col].T)
+    gd = dataset.at_cells(cache.tilde_gamma[:, col] @ cache.tilde_delta[:, col].T)
     prec = cache.tilde_tau * gd_sq.sum() + 1.0 / hyper.sigma2_lambda
     loc = cache.tilde_tau * (gd @ resid) / prec
     state.mu_q_lambda[q], state.Sigma_q_lambda[q] = loc, 1.0 / prec
@@ -301,13 +293,10 @@ def update_gamma(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
     are plain Normals with unit prior variance. `resid` is as in
     `update_lambda`.
     """
-    I = dataset.n_genotypes
     d_mean = cache.tilde_delta[:, q][dataset.cols]
     prec = (cache.tilde_tau * cache.tilde_lambda_sq[q]
-            * np.bincount(dataset.rows, weights=cache.tilde_delta_sq[:, q][dataset.cols],
-                          minlength=I) + 1.0)
-    loc = (cache.tilde_tau * cache.tilde_lambda[q]
-           * np.bincount(dataset.rows, weights=d_mean * resid, minlength=I) / prec)
+            * dataset.row_sums(cache.tilde_delta_sq[:, q][dataset.cols]) + 1.0)
+    loc = cache.tilde_tau * cache.tilde_lambda[q] * dataset.row_sums(d_mean * resid) / prec
     state.mu_q_gamma[:, q] = loc
     state.Sigma_q_gamma[:, q] = 1.0 / prec
     cache.tilde_gamma[:, q] = loc
@@ -322,13 +311,10 @@ def update_delta(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
                  cache: ExpectationCache, q: int, resid: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Update the q-th right singular-vector column; `resid` is as in `update_lambda`."""
-    J = dataset.n_environments
     g_mean = cache.tilde_gamma[:, q][dataset.rows]
     prec = (cache.tilde_tau * cache.tilde_lambda_sq[q]
-            * np.bincount(dataset.cols, weights=cache.tilde_gamma_sq[:, q][dataset.rows],
-                          minlength=J) + 1.0)
-    loc = (cache.tilde_tau * cache.tilde_lambda[q]
-           * np.bincount(dataset.cols, weights=g_mean * resid, minlength=J) / prec)
+            * dataset.col_sums(cache.tilde_gamma_sq[:, q][dataset.rows]) + 1.0)
+    loc = cache.tilde_tau * cache.tilde_lambda[q] * dataset.col_sums(g_mean * resid) / prec
     state.mu_q_delta[:, q] = loc
     state.Sigma_q_delta[:, q] = 1.0 / prec
     cache.tilde_delta[:, q] = loc
@@ -338,14 +324,13 @@ def update_delta(state: VariationalState, dataset: Dataset, hyper: Hyperparams,
 
 def expected_sse(cache: ExpectationCache, dataset: Dataset) -> float:
     """E || y - model mean ||^2 over observed cells under the mean field."""
-    rows, cols = dataset.rows, dataset.cols
     r = _resid(cache, dataset)
     total = float(r @ r)
     total += dataset.n_obs * cache.var_mu
-    total += float(cache.var_g[rows].sum() + cache.var_e[cols].sum())
-    second = _grid(cache.tilde_gamma_sq * cache.tilde_lambda_sq, cache.tilde_delta_sq, dataset)
-    first = _grid((cache.tilde_gamma * cache.tilde_lambda) ** 2, cache.tilde_delta ** 2, dataset)
-    total += float(np.sum(second - first))
+    total += float(cache.var_g[dataset.rows].sum() + cache.var_e[dataset.cols].sum())
+    second = (cache.tilde_gamma_sq * cache.tilde_lambda_sq) @ cache.tilde_delta_sq.T
+    first = (cache.tilde_gamma * cache.tilde_lambda) ** 2 @ (cache.tilde_delta ** 2).T
+    total += float(np.sum(dataset.at_cells(second - first)))
     return total
 
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ammivi import analysis, gibbs, vi
-from ammivi.analysis import DimensionMismatchError, compare, export_heatmap, predict, rmse
+from ammivi.analysis import compare, export_heatmap, predict, rmse
 from ammivi.freqfit import frequentist_fit
-from ammivi.model import ModelConfig, default_hyperparams, mean_matrix
+from ammivi.model import DimensionMismatchError, ModelConfig, default_hyperparams, mean_matrix
 from ammivi.simulate import SimScenario, simulate
 from ammivi.model import QUANTILE_LEVELS, THETA_FIELDS, Dataset
 from conftest import random_dataset
@@ -72,11 +72,14 @@ class TestPredict:
         assert summary.mean.shape == (5, 4)
         assert np.all(summary.q05 <= summary.q95)
 
-    def test_dimension_mismatch(self, rng):
+    def test_dimension_mismatch(self, rng, hyper):
         ds, fit = small_fit()
+        draws = gibbs.gibbs_fit(ds, ModelConfig(Q=1, hyper=hyper),
+                                n_chains=2, n_iter=5, n_burn=0)
         other = random_dataset(rng, 9, 9)
-        with pytest.raises(DimensionMismatchError):
-            predict(fit, other)
+        for result, what in ((fit, "fit"), (draws, "draws")):
+            with pytest.raises(DimensionMismatchError, match=f"^{what} dimensions"):
+                predict(result, other)
 
     def test_observed_mask(self, rng):
         ds = random_dataset(rng, 6, 5, missing=0.2)

@@ -382,6 +382,23 @@ class TestExitCodes:
                      "--output-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, target", [
+        ("fit-mcmc", (gibbs, "gibbs_fit")), ("predict", (analysis, "predict"))])
+    def test_memory_error_exit_code(self, sim_dir, tmp_path, monkeypatch, capsys,
+                                    command, target):
+        # stands in for a size numpy refuses to allocate (say --iters 10000000000000)
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 PiB")
+
+        monkeypatch.setattr(*target, out_of_memory)
+        out = tmp_path / "out"
+        assert main([command, "--input", str(sim_dir / "data.csv"),
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: not enough memory: Unable to allocate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_predict_draws(self, sim_dir, tmp_path, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("vi.fit ran before --draws was checked")

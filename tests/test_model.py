@@ -1,5 +1,6 @@
 """Data model, mean function and CSV round trips."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 import ammivi
 from ammivi import gibbs, vi
 from ammivi.freqfit import frequentist_fit
-from ammivi.model import (Dataset, Hyperparams, ModelConfig, ThetaPoint,
-                          ValidationError, dataset_from_labels,
+from ammivi.model import (Dataset, DimensionMismatchError, Hyperparams, ModelConfig,
+                          ThetaPoint, ValidationError, dataset_from_labels,
                           default_hyperparams, load_csv, load_theta_csv,
                           mean_matrix, param_rows, write_csv,
                           write_theta_csv)
@@ -336,6 +337,64 @@ class TestDatasetProperties:
         y[data.draw(st.integers(0, ds.n_obs - 1))] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             self.rebuild(ds, y=y)
+
+
+class TestObservationMethods:
+    """Dataset's row/column sums, cell read and I/J/Q check against plain Python."""
+
+    @given(labelled_grids(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sums_and_cell_read_match_loops(self, ds, data):
+        I, J = ds.n_genotypes, ds.n_environments
+        w = np.array(data.draw(st.lists(finite, min_size=ds.n_obs, max_size=ds.n_obs)))
+        grid = np.array(data.draw(st.lists(finite, min_size=I * J, max_size=I * J)))
+        grid = grid.reshape(I, J)
+        row_sums, col_sums = [0.0] * I, [0.0] * J
+        for i, j, value in zip(ds.rows.tolist(), ds.cols.tolist(), w.tolist()):
+            row_sums[i] += value
+            col_sums[j] += value
+        np.testing.assert_array_equal(ds.row_sums(w), row_sums)
+        np.testing.assert_array_equal(ds.col_sums(w), col_sums)
+        np.testing.assert_array_equal(ds.at_cells(grid),
+                                      [grid[i, j] for i, j in zip(ds.rows, ds.cols)])
+
+    @given(labelled_grids(), st.integers(0, 2), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_check_covers_stack_and_each_wrong_dimension(self, ds, Q, chains, iters):
+        def stack(I, J, Q):
+            lead = (chains, iters)
+            return gibbs.PosteriorDraws(
+                mu=np.zeros(lead), g=np.zeros((*lead, I)), e=np.zeros((*lead, J)),
+                lam=np.ones((*lead, Q)), gamma=np.zeros((*lead, I, Q)),
+                delta=np.zeros((*lead, J, Q)), sigma2=np.ones(lead))
+
+        I, J = ds.n_genotypes, ds.n_environments
+        ds.check_covers(stack(I, J, Q), "draws", Q)
+        ds.check_covers(stack(I, J, Q + 1), "draws")
+        for wrong in ((I + 1, J, Q), (I, J + 1, Q), (I, J, Q + 1)):
+            with pytest.raises(DimensionMismatchError,
+                               match="^draws dimensions do not match dataset/config$"):
+                ds.check_covers(stack(*wrong), "draws", Q)
+
+
+def test_observation_layer_has_one_home():
+    """Row/column sums and cell reads go through Dataset, so the layer cannot erode.
+
+    `np.bincount` may appear only in model.py and in gibbs's `_cond_*`
+    oracle, which criterion 2 keeps independent; `.cells` only in model.py.
+    """
+    found = []
+    for path in sorted(Path(ammivi.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        oracle = {id(node) for fn in tree.body
+                  if path.name == "gibbs.py" and isinstance(fn, ast.FunctionDef)
+                  and fn.name.startswith("_cond_") for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and (
+                      node.attr == "cells" or node.attr == "bincount" and id(node) not in oracle)]
+    assert found == []
 
 
 @pytest.mark.parametrize("module", ["ammivi", "ammivi.cli"])
