@@ -13,10 +13,9 @@ import numpy as np
 from . import gibbs, simulate, vi
 from .freqfit import frequentist_fit
 from .gibbs import PosteriorDraws
-from .model import (QUANTILE_LEVELS, SCALAR_BLOCKS, THETA_FIELDS, Dataset, ModelConfig,
-                    ValidationError, default_hyperparams, mean_matrix, param_rows, write_rows)
-from .statsmath import sample_trunc_normal
-from .vi import FitResult
+from .model import (QUANTILE_LEVELS, THETA_FIELDS, Dataset, ModelConfig, ValidationError,
+                    default_hyperparams, mean_matrix, param_rows, write_rows)
+from .vi import FitResult, parameter_draws, posterior_sd
 
 
 @dataclass(frozen=True)
@@ -34,33 +33,6 @@ class PredictiveSummary:
     observed: np.ndarray
     include_noise: bool
     threads: int             # worker threads that summarised the cells
-
-
-def _normal_draws(rng: np.random.Generator, mean: np.ndarray, var: np.ndarray,
-                  n_draws: int) -> np.ndarray:
-    """n_draws of N(mean, var), each element mean + sd * z, scaled and shifted in place."""
-    draws = rng.standard_normal((n_draws, *mean.shape))
-    draws *= np.sqrt(var)
-    draws += mean
-    return draws
-
-
-def _vi_parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
-    st = fit.state
-    Q = st.mu_q_gamma.shape[1]
-    mu = rng.normal(st.mu_q_mu, np.sqrt(st.Sigma_q_mu), n_draws)
-    g = _normal_draws(rng, st.mu_q_g, st.Sigma_q_g, n_draws)
-    e = _normal_draws(rng, st.mu_q_e, st.Sigma_q_e, n_draws)
-    lam = np.empty((n_draws, Q))
-    gamma = _normal_draws(rng, st.mu_q_gamma, st.Sigma_q_gamma, n_draws)
-    delta = _normal_draws(rng, st.mu_q_delta, st.Sigma_q_delta, n_draws)
-    for q in range(Q):
-        lam[:, q] = sample_trunc_normal(rng, st.mu_q_lambda[q], st.Sigma_q_lambda[q],
-                                        size=n_draws)
-        gamma[:, 0, q] = sample_trunc_normal(rng, st.mu_q_gamma[0, q], st.Sigma_q_gamma[0, q],
-                                             size=n_draws)
-    sigma2 = 1.0 / rng.gamma(st.a_q, 1.0 / st.b_q, n_draws)
-    return mu, g, e, lam, gamma, delta, sigma2
 
 
 # predict's budget of cell draws (about 4 MB); one block holds at most _BLOCK_CELLS // 8,
@@ -184,7 +156,7 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
             seed: int = 0) -> PredictiveSummary:
     """Posterior-predictive summary for every cell of the grid.
 
-    VI draws parameter vectors from the independent variational factors;
+    VI draws parameter vectors from q(theta) with `vi.parameter_draws`;
     MCMC reuses the stored posterior draws (subsampled to n_draws).
     With include_noise, Normal observation noise is added per draw.
     """
@@ -192,7 +164,7 @@ def predict(fit: FitResult | PosteriorDraws, dataset: Dataset,
     rng = np.random.default_rng(seed)
     if isinstance(fit, FitResult):
         dataset.check_covers(fit.theta, "fit")
-        blocks = _vi_parameter_draws(fit, n_draws, rng)
+        blocks = parameter_draws(fit, n_draws, rng)
     else:
         dataset.check_covers(fit, "draws")
         blocks = [fit.flat(name) for name in THETA_FIELDS]
@@ -264,17 +236,13 @@ class ComparisonReport:
 
 
 def compare(vi: FitResult, mcmc: PosteriorDraws, dataset: Dataset) -> ComparisonReport:
-    """Per-parameter means/sds of the two fitters plus speed and RMSE."""
-    theta_vi, st = vi.theta, vi.state
+    """Per-parameter means/sds of the two fitters (VI's from `vi.posterior_sd`), speed, RMSE."""
+    theta_vi = vi.theta
     dataset.check_covers(theta_vi, "VI fit")
     dataset.check_covers(mcmc, "draws", theta_vi.n_components)
     theta_mcmc = gibbs.posterior_mean_theta(mcmc)
-    sig_sd = np.sqrt(st.b_q ** 2 / ((st.a_q - 1.0) ** 2 * (st.a_q - 2.0))) \
-        if st.a_q > 2 else np.nan
-    vi_sd = {"mu": np.sqrt(st.Sigma_q_mu), "g": np.sqrt(st.Sigma_q_g),
-             "e": np.sqrt(st.Sigma_q_e), "lam": np.sqrt(st.Sigma_q_lambda), "sigma2": sig_sd}
-    blocks = ((f, getattr(theta_vi, f), getattr(theta_mcmc, f), vi_sd[f],
-               mcmc.flat(f).std(axis=0)) for f in THETA_FIELDS if f in SCALAR_BLOCKS)
+    blocks = ((f, getattr(theta_vi, f), getattr(theta_mcmc, f), sd, mcmc.flat(f).std(axis=0))
+              for f, sd in posterior_sd(vi).items())
     return ComparisonReport(
         rows=[(f"{name}[{i1}]" if i1 else name, vi_mean, mcmc_mean, vi_s, mcmc_s,
                abs(vi_mean - mcmc_mean))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import statsmath
 from .model import Dataset, Hyperparams, ModelConfig, ThetaPoint, post_process
 from .statsmath import digamma, fix_signs, gammaln, log_ndtr, trunc_normal_moments
 
@@ -405,6 +406,53 @@ def posterior_mean_theta(state: VariationalState) -> ThetaPoint:
     return ThetaPoint(mu=cache.tilde_mu, g=cache.tilde_g, e=cache.tilde_e,
                       lam=cache.tilde_lambda, gamma=cache.tilde_gamma,
                       delta=cache.tilde_delta, sigma2=float(sigma2))
+
+
+def posterior_sd(fit: FitResult) -> dict[str, np.ndarray]:
+    """Posterior sd of every SCALAR_BLOCKS entry of fit.theta, keyed in THETA_FIELDS order.
+
+    sigma2 = 1 / tau is inverse-Gamma, with a finite sd only for a_q > 2. q(lambda) is on
+    the raw factors' scale, which post_process moves along the ridge (gamma_q a, delta_q b,
+    lambda_q / (a b)), so lambda's sd is scaled by theta.lam / E_q[lambda], in post_process's
+    order of E_q[lambda_q] times the norms of the centred gamma_q and delta_q.
+    """
+    st, cache = fit.state, expectations(fit.state)
+    lam_mean, lam_var = _trunc_moments_vec(st.mu_q_lambda, st.Sigma_q_lambda)
+    size = lam_mean * np.prod([np.linalg.norm(m - m.mean(axis=0), axis=0)
+                               for m in (cache.tilde_gamma, cache.tilde_delta)], axis=0)
+    order = np.argsort(-size, kind="stable")
+    return {"mu": np.sqrt(st.Sigma_q_mu), "g": np.sqrt(st.Sigma_q_g), "e": np.sqrt(st.Sigma_q_e),
+            "lam": np.sqrt(lam_var[order]) * fit.theta.lam / lam_mean[order],
+            "sigma2": np.sqrt(st.b_q ** 2 / ((st.a_q - 1.0) ** 2 * (st.a_q - 2.0)))
+            if st.a_q > 2 else np.nan}
+
+
+def _normal_draws(rng: np.random.Generator, mean, var, n_draws: int) -> np.ndarray:
+    """n_draws of N(mean, var), each element mean + sd * z, scaled and shifted in place."""
+    draws = rng.standard_normal((n_draws, *np.shape(mean)))
+    draws *= np.sqrt(var)
+    draws += mean
+    return draws
+
+
+def parameter_draws(fit: FitResult, n_draws: int, rng: np.random.Generator):
+    """n_draws of every THETA_FIELDS block from q(theta), on the raw factors' scale.
+
+    The Normal factors' draws are made in place; those of lambda and gamma's first row,
+    whose factors are positive-truncated, are then drawn component by component.
+    """
+    st = fit.state
+    mu, g, e, gamma, delta = (_normal_draws(rng, getattr(st, f"mu_q_{block}"),
+                                            getattr(st, f"Sigma_q_{block}"), n_draws)
+                              for block in ("mu", "g", "e", "gamma", "delta"))
+    lam = np.empty((n_draws, st.n_components))
+    for q in range(st.n_components):
+        lam[:, q] = statsmath.sample_trunc_normal(rng, st.mu_q_lambda[q], st.Sigma_q_lambda[q],
+                                                  size=n_draws)
+        gamma[:, 0, q] = statsmath.sample_trunc_normal(rng, st.mu_q_gamma[0, q],
+                                                       st.Sigma_q_gamma[0, q], size=n_draws)
+    sigma2 = 1.0 / rng.gamma(st.a_q, 1.0 / st.b_q, n_draws)
+    return mu, g, e, lam, gamma, delta, sigma2
 
 
 def fit(dataset: Dataset, config: ModelConfig, init: ThetaPoint,

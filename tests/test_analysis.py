@@ -1,5 +1,6 @@
 """Predictive summaries, RMSE, heatmap export and comparison reports."""
 
+import dataclasses
 import itertools
 import sys
 import threading
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from ammivi import analysis, gibbs, vi
 from ammivi.analysis import compare, export_heatmap, predict, rmse
 from ammivi.freqfit import frequentist_fit
-from ammivi.model import DimensionMismatchError, ModelConfig, default_hyperparams, mean_matrix
-from ammivi.simulate import SimScenario, simulate
+from ammivi.model import (DimensionMismatchError, ModelConfig, default_hyperparams, mean_matrix,
+                          post_process)
+from ammivi.simulate import SimScenario, scenario_by_name, simulate
 from ammivi.model import QUANTILE_LEVELS, THETA_FIELDS, Dataset
 from conftest import random_dataset
 
@@ -128,7 +130,7 @@ class TestBlockedPredict:
     def parameter_draws(self, fit, n_draws):
         rng = np.random.default_rng(self.SEED)
         if isinstance(fit, vi.FitResult):
-            return analysis._vi_parameter_draws(fit, n_draws, rng)
+            return vi.parameter_draws(fit, n_draws, rng)
         pick = rng.choice(len(fit.flat("mu")), size=n_draws, replace=False)
         return [fit.flat(name)[pick] for name in THETA_FIELDS]
 
@@ -262,7 +264,7 @@ class TestPredictMemory:
             fit = vi.fit(ds, ModelConfig(Q=2, hyper=default_hyperparams(ds)),
                          frequentist_fit(ds, 2))
             # more draws than predict takes, so it copies the N_DRAWS it picks
-            flat = analysis._vi_parameter_draws(fit, 5000, np.random.default_rng(0))
+            flat = vi.parameter_draws(fit, 5000, np.random.default_rng(0))
             draws = gibbs.PosteriorDraws(*(a.reshape(2, 2500, *a.shape[1:]) for a in flat))
             out[I] = ds, {"vi": fit, "mcmc": draws}
         return out
@@ -270,7 +272,7 @@ class TestPredictMemory:
     def draw_bytes(self, fit):
         """Bytes of the N_DRAWS parameter draws that predict makes or picks."""
         if isinstance(fit, vi.FitResult):
-            draws = analysis._vi_parameter_draws(fit, self.N_DRAWS, np.random.default_rng(0))
+            draws = vi.parameter_draws(fit, self.N_DRAWS, np.random.default_rng(0))
         else:
             draws = [fit.flat(name)[:self.N_DRAWS] for name in THETA_FIELDS]
         return sum(a.nbytes for a in draws)
@@ -299,7 +301,7 @@ class TestVIParameterDraws:
     def test_normal_blocks_are_mean_plus_sd_times_z(self):
         _, fit = small_fit(Q=2, I=7, J=5)
         st, D = fit.state, 50
-        mu, g, e, lam, gamma, delta, sigma2 = analysis._vi_parameter_draws(
+        mu, g, e, lam, gamma, delta, sigma2 = vi.parameter_draws(
             fit, D, np.random.default_rng(8))
         twin = np.random.default_rng(8)
         assert np.array_equal(mu, twin.normal(st.mu_q_mu, np.sqrt(st.Sigma_q_mu), D))
@@ -314,7 +316,7 @@ class TestVIParameterDraws:
     def test_peak_memory_is_the_output(self, large_fit):
         tracemalloc.start()
         try:
-            draws = analysis._vi_parameter_draws(large_fit, 4000, np.random.default_rng(0))
+            draws = vi.parameter_draws(large_fit, 4000, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -433,3 +435,40 @@ class TestCompare:
         report = compare(fit, draws, ds)
         assert max(report.max_gap("mu"), report.max_gap("g["),
                    report.max_gap("e[")) < 0.1
+
+    @staticmethod
+    def lambda_sds(report):
+        """VI's and MCMC's sds of the lambda rows."""
+        rows = [row for row in report.rows if row[0].startswith("lambda")]
+        return np.array([row[3] for row in rows]), np.array([row[4] for row in rows])
+
+    def test_lambda_sd_unchanged_along_scale_ridge(self):
+        ds, fit = small_fit(Q=2, I=7, J=5)
+        moved = fit.state.copy()
+        # gamma_q a, delta_q b, lambda_q / (a b), each variance scaled by its factor squared;
+        # the factors put component 1's raw lambda below component 2's
+        for q, (a, b) in enumerate([(2.0, 2.0), (0.5, 1.0)]):
+            moved.mu_q_gamma[:, q] *= a
+            moved.Sigma_q_gamma[:, q] *= a ** 2
+            moved.mu_q_delta[:, q] *= b
+            moved.Sigma_q_delta[:, q] *= b ** 2
+            moved.mu_q_lambda[q] /= a * b
+            moved.Sigma_q_lambda[q] /= (a * b) ** 2
+        raw_lam = vi.expectations(moved).tilde_lambda
+        assert raw_lam[0] < raw_lam[1]
+        twin = dataclasses.replace(fit, state=moved,
+                                   theta=post_process(vi.posterior_mean_theta(moved)))
+        np.testing.assert_allclose(twin.theta.lam, fit.theta.lam, rtol=1e-9)
+        draws = self.degenerate_draws(fit.theta, 7, 5, 2)
+        want, _ = self.lambda_sds(compare(fit, draws, ds))
+        got, _ = self.lambda_sds(compare(twin, draws, ds))
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_lambda_sd_near_gibbs_on_recovery_q2(self):
+        ds, _ = simulate(scenario_by_name("recovery-q2"))
+        config = ModelConfig(Q=2, hyper=default_hyperparams(ds), seed=3)
+        fit = vi.fit(ds, config, frequentist_fit(ds, 2))
+        draws = gibbs.gibbs_fit(ds, config, n_chains=4, n_iter=1500, n_burn=500)
+        vi_sd, mcmc_sd = self.lambda_sds(compare(fit, draws, ds))
+        ratio = vi_sd / mcmc_sd
+        assert ratio.shape == (2,) and np.all((0.5 <= ratio) & (ratio <= 2.0)), ratio

@@ -397,6 +397,25 @@ def test_observation_layer_has_one_home():
     assert found == []
 
 
+def test_analysis_reads_no_variational_state():
+    """q(theta)'s families are known to vi alone, which samples q(theta) and gives its sds.
+
+    analysis.py may read no `.state`, `mu_q_*`, `Sigma_q_*`, `a_q` or `b_q`
+    attribute, and may import nothing from statsmath.
+    """
+    tree = ast.parse((Path(ammivi.__file__).parent / "analysis.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (node.attr in ("state", "a_q", "b_q")
+                                                or node.attr.startswith(("mu_q_", "Sigma_q_"))):
+            found.append(f"analysis.py:{node.lineno} .{node.attr}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "statsmath" in name.split(".")
+                for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]):
+            found.append(f"analysis.py:{node.lineno} import")
+    assert found == []
+
+
 @pytest.mark.parametrize("module", ["ammivi", "ammivi.cli"])
 def test_import_loads_no_scipy(module):
     """`import ammivi` dominates start-up time, and scipy.special alone doubled it."""

@@ -5,36 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
-from scipy.integrate import quad
 
 from ammivi import statsmath
 from ammivi.statsmath import (DegenerateInputError, fix_signs, gelman_rubin, log_ndtr,
                               ndtri_exp, orthonormalize_interaction, sample_trunc_normal,
                               trunc_normal_moments)
-
-
-def quad_moments(location, scale_sq):
-    """Adaptive-quadrature oracle for the positive-truncated normal.
-
-    Works in standardized units u = (x - lower)/s - alpha shifted so the
-    integrand is O(1) for any truncation point, avoiding underflow.
-    """
-    s = np.sqrt(scale_sq)
-    alpha = -location / s
-    # X = location + s*(alpha + U) with U >= 0, density prop. to
-    # exp(-alpha*u - u^2/2) * exp(peak) where the constant cancels in ratios
-    peak = 0.5 * alpha * alpha if alpha < 0 else 0.0
-
-    def w(u):
-        return np.exp(-alpha * u - 0.5 * u * u - peak)
-
-    kw = dict(limit=400)
-    n0 = quad(w, 0.0, np.inf, **kw)[0]
-    n1 = quad(lambda u: u * w(u), 0.0, np.inf, **kw)[0]
-    n2 = quad(lambda u: u * u * w(u), 0.0, np.inf, **kw)[0]
-    t_mean = alpha + n1 / n0
-    t_var = n2 / n0 - (n1 / n0) ** 2
-    return location + s * t_mean, scale_sq * t_var
+from conftest import quad_moments
 
 
 class TestSpecialFunctions:
